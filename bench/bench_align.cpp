@@ -10,6 +10,10 @@
 //                                  first asserts batch == scalar, then
 //                                  writes BENCH_ALIGN.json (see
 //                                  docs/KERNELS.md). Used by verify.sh.
+//                                  Its "tiers" section pins every tier the
+//                                  host has and records each one's batch
+//                                  rates plus the same-run avx512/avx2
+//                                  ratio.
 
 #include <benchmark/benchmark.h>
 
@@ -190,21 +194,27 @@ int run_smoke(const std::string& out_path) {
                             {"semiglobal", bio::AlignMode::kSemiGlobal}};
 
   // Equivalence guard: the speedup is meaningless if the kernels disagree.
-  for (const auto& spec : modes) {
-    auto batch =
-        bio::batch_align_scores(spec.mode, profile, d.db, d.scheme, 0, scratch);
-    for (std::size_t i = 0; i < d.db.size(); ++i) {
-      auto scalar =
-          bio::align_score(spec.mode, d.query, d.db[i], d.scheme);
-      if (batch[i] != scalar) {
-        std::fprintf(stderr,
-                     "smoke FAILED: %s batch=%lld scalar=%lld (subject %zu)\n",
-                     spec.name, static_cast<long long>(batch[i]),
-                     static_cast<long long>(scalar), i);
-        return 1;
+  // Checked under the selected tier and under every tier pinned below.
+  auto equivalent = [&]() {
+    for (const auto& spec : modes) {
+      auto batch = bio::batch_align_scores(spec.mode, profile, d.db, d.scheme,
+                                           0, scratch);
+      for (std::size_t i = 0; i < d.db.size(); ++i) {
+        auto scalar = bio::align_score(spec.mode, d.query, d.db[i], d.scheme);
+        if (batch[i] != scalar) {
+          std::fprintf(stderr,
+                       "smoke FAILED: tier %s %s batch=%lld scalar=%lld "
+                       "(subject %zu)\n",
+                       to_string(simd_tier()), spec.name,
+                       static_cast<long long>(batch[i]),
+                       static_cast<long long>(scalar), i);
+          return false;
+        }
       }
     }
-  }
+    return true;
+  };
+  if (!equivalent()) return 1;
 
   std::string kernels_json, speedup_json;
   char buf[160];
@@ -238,6 +248,46 @@ int run_smoke(const std::string& out_path) {
   if (!kernels_json.empty()) kernels_json.erase(kernels_json.size() - 2, 1);
   if (!speedup_json.empty()) speedup_json.erase(speedup_json.size() - 2, 1);
 
+  // Per-tier batch rates from this one run, so the tier gain is recorded
+  // normalised to the host rather than as absolute numbers.
+  std::string tiers_json;
+  double tier_rate[4][3] = {};  // [SimdTier][mode]
+  for (SimdTier tier : {SimdTier::kScalar, SimdTier::kSse2, SimdTier::kAvx2,
+                        SimdTier::kAvx512}) {
+    if (!simd_tier_available(tier)) continue;
+    ScopedSimdTier pin(tier);
+    if (!equivalent()) return 1;
+    double* rate = tier_rate[static_cast<int>(tier)];
+    std::string rates;
+    for (std::size_t k = 0; k < std::size(modes); ++k) {
+      rate[k] = measure_cells_per_sec(
+          [&] {
+            benchmark::DoNotOptimize(bio::batch_align_scores(
+                modes[k].mode, profile, d.db, d.scheme, 0, scratch));
+          },
+          d.cells_per_pass);
+      std::snprintf(buf, sizeof buf, "%s\"batch_%s\": %.4g",
+                    k == 0 ? "" : ", ", modes[k].name, rate[k]);
+      rates += buf;
+    }
+    tiers_json += std::string(tiers_json.empty() ? "" : ",\n") + "      \"" +
+                  to_string(tier) + "\": {" + rates + "}";
+    std::printf("tier %-7s batch sw %8.1f  nw %8.1f  semiglobal %8.1f "
+                "Mcells/s\n",
+                to_string(tier), rate[0] / 1e6, rate[1] / 1e6, rate[2] / 1e6);
+  }
+  std::string ratio_json;
+  if (simd_tier_available(SimdTier::kAvx512)) {
+    const double* wide = tier_rate[static_cast<int>(SimdTier::kAvx512)];
+    const double* base = tier_rate[static_cast<int>(SimdTier::kAvx2)];
+    for (std::size_t k = 0; k < std::size(modes); ++k) {
+      std::snprintf(buf, sizeof buf, "%s\"%s\": %.3g", k == 0 ? "" : ", ",
+                    modes[k].name, wide[k] / base[k]);
+      ratio_json += buf;
+    }
+    std::printf("avx512 / avx2: %s\n", ratio_json.c_str());
+  }
+
   std::string json;
   json += "{\n  \"schema\": 1,\n  \"bench\": \"bench_align --smoke\",\n";
   std::snprintf(buf, sizeof buf,
@@ -248,7 +298,9 @@ int run_smoke(const std::string& out_path) {
                 to_string(simd_tier()));
   json += buf;
   json += "  \"kernels_cells_per_sec\": {\n" + kernels_json + "  },\n";
-  json += "  \"speedup_batch_over_scalar\": {\n" + speedup_json + "  }\n}\n";
+  json += "  \"speedup_batch_over_scalar\": {\n" + speedup_json + "  },\n";
+  json += "  \"tiers\": {\n    \"batch_cells_per_sec\": {\n" + tiers_json +
+          "\n    },\n    \"avx512_over_avx2\": {" + ratio_json + "}\n  }\n}\n";
 
   std::ofstream out(out_path);
   if (!out) {

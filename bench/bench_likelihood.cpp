@@ -161,7 +161,7 @@ int run_smoke(const std::string& out_path) {
   // Equivalence guard: every available tier must produce the bit-identical
   // log-likelihood (the kernels share summation order and never use FMA).
   const SimdTier tiers[] = {SimdTier::kScalar, SimdTier::kSse2,
-                            SimdTier::kAvx2};
+                            SimdTier::kAvx2, SimdTier::kAvx512};
   bool have_ref = false;
   double ref = 0;
   for (SimdTier t : tiers) {

@@ -9,7 +9,8 @@
 # test most likely to expose races and lifetime bugs in the
 # reconnect/checkpoint paths, and it must stay clean there, not just in
 # the plain build. The Simd/BatchKernel suites additionally run with
-# HDCS_SIMD=scalar so the no-SIMD dispatch path stays exercised.
+# HDCS_SIMD=scalar and HDCS_SIMD=avx2 so the no-SIMD dispatch path and
+# the AVX2 kernels stay exercised on hosts whose default tier is wider.
 #
 #   scripts/verify.sh            # full: tier-1 + TSan + ASan + smoke
 #   scripts/verify.sh --fast     # tier-1 only
@@ -28,6 +29,10 @@ fi
 
 echo "== kernel equivalence with SIMD forced off (HDCS_SIMD=scalar) =="
 HDCS_SIMD=scalar ctest --test-dir build --output-on-failure -j"$(nproc)" \
+  -R 'Simd|BatchKernel'
+
+echo "== kernel equivalence pinned to AVX2 (HDCS_SIMD=avx2) =="
+HDCS_SIMD=avx2 ctest --test-dir build --output-on-failure -j"$(nproc)" \
   -R 'Simd|BatchKernel'
 
 echo "== TSan: obs + scheduler + integration + chaos + data-plane tests =="

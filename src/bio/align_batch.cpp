@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <numeric>
 
 #include "bio/align_lanes.hpp"
+#include "bio/align_lanes_kernel.hpp"
 #include "util/error.hpp"
 #include "util/simd.hpp"
 
@@ -20,8 +22,10 @@ void encode_residues(std::string_view seq, std::vector<std::uint8_t>& out) {
 
 QueryProfile::QueryProfile(std::string_view query, const ScoringScheme& scheme)
     : query_(query), n_(query.size()) {
-  profile16_.assign(kProfileSymbols * n_, kFloor16);
+  constexpr std::size_t kSymbols = ScoringScheme::kAlphabetSize;
   profile32_.assign(kProfileSymbols * n_, kFloor16);
+  rows16_.assign(n_ * kProfileRow, kFloor16);
+  pairs16_.assign(kProfileSymbols * kSymbols, kFloor16);
 
   std::vector<std::uint8_t> enc;
   encode_residues(query, enc);
@@ -37,18 +41,88 @@ QueryProfile::QueryProfile(std::string_view query, const ScoringScheme& scheme)
     lane_safe_ = false;
   }
 
-  for (std::size_t sym = 0; sym < ScoringScheme::kAlphabetSize; ++sym) {
-    std::int16_t* col16 = profile16_.data() + sym * n_;
+  // Number the query's distinct residues in order of first appearance.
+  std::uint8_t dense[kSymbols];
+  std::fill(std::begin(dense), std::end(dense), std::uint8_t{0xff});
+  query_symbol_.resize(n_);
+  for (std::size_t i = 0; i < n_; ++i) {
+    if (dense[enc[i]] == 0xff) {
+      dense[enc[i]] = static_cast<std::uint8_t>(query_symbols_++);
+    }
+    query_symbol_[i] = dense[enc[i]];
+  }
+
+  for (std::size_t sym = 0; sym < kSymbols; ++sym) {
     std::int32_t* col32 = profile32_.data() + sym * n_;
     for (std::size_t i = 0; i < n_; ++i) {
       int sc = scheme.score_indexed(sym, enc[i]);
       if (std::abs(sc) > kLaneSubLimit) lane_safe_ = false;
-      col16[i] = static_cast<std::int16_t>(sc);
       col32[i] = sc;
+      rows16_[i * kProfileRow + sym] = static_cast<std::int16_t>(sc);
+      pairs16_[sym * kSymbols + query_symbol_[i]] =
+          static_cast<std::int16_t>(sc);
     }
   }
-  // kPadSymbol column stays kFloor16 (from the assign above).
+  // kPadSymbol entries (and row16 entries past kProfileSymbols) stay
+  // kFloor16 from the assigns above.
 }
+
+namespace lanes {
+
+namespace {
+
+/// The portable ("sse2") tier: 16 int16 lanes as a GCC/Clang generic
+/// vector, which the compiler lowers to whatever the baseline target ISA
+/// offers (two SSE2 registers on x86-64).
+struct Portable {
+  static constexpr std::size_t kLanes = 16;
+  using V = std::int16_t __attribute__((vector_size(2 * kLanes)));
+  using M = V;  // -1 on live lanes, 0 on dead ones
+
+  static V load(const std::int16_t* p) {
+    V r;
+    std::memcpy(&r, p, sizeof r);
+    return r;
+  }
+  static void store(std::int16_t* p, V v) { std::memcpy(p, &v, sizeof v); }
+  static V set1(std::int16_t x) { return V{} + x; }
+  static V add(V a, V b) { return a + b; }
+  static V sub(V a, V b) { return a - b; }
+  static V max(V a, V b) { return a > b ? a : b; }
+  static V min(V a, V b) { return a < b ? a : b; }
+
+  static M mask(const std::int16_t* live) { return load(live); }
+  static V select(M m, V a, V b) { return (a & m) | (b & ~m); }
+  // Dead lanes contribute 0, which never moves an accumulator that
+  // started at 0 (min stays <= 0, max stays >= 0).
+  static V min_live(M m, V acc, V v) { return min(acc, v & m); }
+  static V max_live(M m, V acc, V v) { return max(acc, v & m); }
+  static std::uint32_t railed(V mn, V mx) {
+    std::uint32_t r = 0;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      if (mn[l] <= kFloor16 || mx[l] >= kSat16) r |= 1u << l;
+    }
+    return r;
+  }
+
+  using Lookup = ColumnProfile<Portable>;
+};
+
+}  // namespace
+
+const Kernels& portable_kernels() { return lane_kernels<Portable>(); }
+
+const Kernels* kernels_for(SimdTier tier) {
+  switch (tier) {
+    case SimdTier::kScalar: return nullptr;
+    case SimdTier::kSse2: return &portable_kernels();
+    case SimdTier::kAvx2: return &avx2_kernels();
+    case SimdTier::kAvx512: return &avx512_kernels();
+  }
+  return nullptr;
+}
+
+}  // namespace lanes
 
 namespace {
 
@@ -194,13 +268,7 @@ std::vector<std::int64_t> batch_align_scores(
     case AlignMode::kGlobal:
     case AlignMode::kSemiGlobal: {
       const auto [oe, ext] = gap_costs(scheme);
-      const SimdTier tier = simd_tier();
-      const lanes::Kernels* kern = nullptr;
-      if (tier == SimdTier::kAvx2) {
-        kern = &lanes::avx2_kernels();
-      } else if (tier == SimdTier::kSse2) {
-        kern = &lanes::portable_kernels();
-      }
+      const lanes::Kernels* kern = lanes::kernels_for(simd_tier());
       if (kern == nullptr || !profile.lane_safe() || n == 0) {
         for (std::size_t i = 0; i < db.size(); ++i) {
           scores[i] = exact(i);
@@ -220,8 +288,8 @@ std::vector<std::int64_t> batch_align_scores(
         return worst < -static_cast<std::int64_t>(kFloor16);
       };
 
-      // Pack lanes in length-sorted order so the 16 lanes of a batch finish
-      // together instead of the longest subject dragging 15 idle lanes.
+      // Pack lanes in length-sorted order so the lanes of a batch finish
+      // together instead of the longest subject dragging idle lanes.
       // Results scatter back through the original index: output order (and
       // every value) is unchanged.
       auto& order = scratch.order;
@@ -234,8 +302,11 @@ std::vector<std::int64_t> batch_align_scores(
 
       const auto oe16 = static_cast<std::int16_t>(oe);
       const auto ext16 = static_cast<std::int16_t>(ext);
-      for (std::size_t base = 0; base < order.size(); base += kBatchLanes) {
-        const std::size_t count = std::min(kBatchLanes, order.size() - base);
+      const std::size_t width = kern->lanes;
+      scratch.h16.resize((n + 1) * width);
+      scratch.e16.resize((n + 1) * width);
+      for (std::size_t base = 0; base < order.size(); base += width) {
+        const std::size_t count = std::min(width, order.size() - base);
         lanes::LaneBatch batch;
         std::size_t lane_idx[kBatchLanes];
         std::size_t used = 0;
@@ -254,7 +325,7 @@ std::vector<std::int64_t> batch_align_scores(
         }
         if (used == 0) continue;
 
-        std::int16_t out[kBatchLanes];
+        alignas(64) std::int16_t out[kBatchLanes];
         std::uint32_t railed = 0;
         switch (mode) {
           case AlignMode::kLocal:

@@ -9,11 +9,12 @@
 //      query becomes a *score profile* — a (symbol x query-position) table —
 //      so the inner loop is a pure array walk.
 //   2. SW, NW and semi-global all run in lane-parallel int16 kernels:
-//      kBatchLanes database sequences advance in lockstep, one DP column
-//      per step, packed in length-sorted order so the lanes of a batch
-//      finish together. The kernels live behind the runtime SIMD dispatch
-//      (util/simd.hpp): an AVX2 intrinsics tier, a portable fixed-width
-//      lane tier, and a scalar tier that skips the lanes entirely.
+//      16 or 32 database sequences (one per lane) advance in lockstep,
+//      one DP column per step, packed in length-sorted order so the lanes
+//      of a batch finish together. The kernels live behind the runtime
+//      SIMD dispatch (util/simd.hpp): AVX-512BW (32 lanes), AVX2 and
+//      portable (16 lanes) tiers instantiated from one kernel template,
+//      and a scalar tier that skips the lanes entirely.
 //   3. int16 saturation is detected per lane — SW by its clamped running
 //      best reaching kSat16, NW/semi-global by any live H cell touching
 //      the kFloor16/kSat16 rails — and flagged lanes are re-run through
@@ -25,6 +26,7 @@
 // else is exposed for tests and benchmarks.
 
 #include <cstdint>
+#include <new>
 #include <span>
 #include <string>
 #include <string_view>
@@ -35,10 +37,10 @@
 
 namespace hdcs::bio {
 
-/// Lanes of the int16 Smith–Waterman kernel: 16 int16 values fill one AVX2
-/// register (two SSE2 registers). Fixed so the lane loops have a
-/// compile-time trip count.
-inline constexpr std::size_t kBatchLanes = 16;
+/// Lanes of the widest int16 lane kernel: 32 int16 values fill one
+/// AVX-512 register. Sizes every per-batch lane array; each tier's kernel
+/// table (bio/align_lanes.hpp) says how many of them it actually uses.
+inline constexpr std::size_t kBatchLanes = 32;
 
 /// Profile symbols: every ScoringScheme index plus one trailing padding
 /// symbol. Finished lanes are fed kPadSymbol, whose profile column is
@@ -46,6 +48,31 @@ inline constexpr std::size_t kBatchLanes = 16;
 inline constexpr std::size_t kProfileSymbols = ScoringScheme::kAlphabetSize + 1;
 inline constexpr std::uint8_t kPadSymbol =
     static_cast<std::uint8_t>(ScoringScheme::kAlphabetSize);
+
+/// Entries per query-row profile row: one zmm of int16, indexed by subject
+/// symbol with a 32-way permute, so every profile symbol must fit.
+inline constexpr std::size_t kProfileRow = 32;
+static_assert(kProfileSymbols <= kProfileRow);
+
+/// Allocator for lane state and profile rows: 64-byte alignment keeps
+/// every 32-lane int16 row inside one cache line.
+template <typename T>
+struct CacheAlignedAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+  CacheAlignedAllocator() = default;
+  template <typename U>
+  CacheAlignedAllocator(const CacheAlignedAllocator<U>&) {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, std::size_t) { ::operator delete(p, kAlign); }
+  friend bool operator==(CacheAlignedAllocator, CacheAlignedAllocator) {
+    return true;
+  }
+};
+using LaneVector =
+    std::vector<std::int16_t, CacheAlignedAllocator<std::int16_t>>;
 
 /// int16 domain: H is clamped into [0, kSat16]. Scores grow by bounded
 /// per-cell steps, so if a lane's running best stays below kSat16 no clamp
@@ -60,9 +87,17 @@ inline constexpr std::int16_t kFloor16 = -16000;
 /// Encode residues as ScoringScheme packed indices.
 void encode_residues(std::string_view seq, std::vector<std::uint8_t>& out);
 
-/// Per-query score profile: score(query[i], symbol) for every symbol, laid
-/// out symbol-major so a subject residue selects one contiguous column.
-/// Built once per (query, scheme) and reused across the whole database.
+/// Per-query score profile, built once per (query, scheme) and reused
+/// across the whole database. Three layouts of score(query[i], symbol):
+///
+///   column32  symbol-major int32, one contiguous column per subject
+///             residue (the exact int64 profile kernels)
+///   row16     query-position-major int16, kProfileRow entries per
+///             position indexed by subject symbol (AVX-512 permute lookup)
+///   pair_row16 + query_symbol  the query's distinct residues only: a
+///             (subject symbol x query symbol) table and the query as
+///             indices into it, from which a lane kernel builds one
+///             [query symbol][lane] table per DP column (AVX2, portable)
 class QueryProfile {
  public:
   QueryProfile(std::string_view query, const ScoringScheme& scheme);
@@ -73,19 +108,35 @@ class QueryProfile {
   /// lane kernel's no-overflow guarantees; batch falls back to int64.
   [[nodiscard]] bool lane_safe() const { return lane_safe_; }
 
-  [[nodiscard]] const std::int16_t* column16(std::uint8_t symbol) const {
-    return profile16_.data() + static_cast<std::size_t>(symbol) * n_;
-  }
   [[nodiscard]] const std::int32_t* column32(std::uint8_t symbol) const {
     return profile32_.data() + static_cast<std::size_t>(symbol) * n_;
+  }
+  [[nodiscard]] const std::int16_t* row16(std::size_t i) const {
+    return rows16_.data() + i * kProfileRow;
+  }
+
+  /// Distinct residues in the query (at most kAlphabetSize).
+  [[nodiscard]] std::size_t query_symbols() const { return query_symbols_; }
+  /// Per query position, its residue's index among the query_symbols().
+  [[nodiscard]] const std::uint8_t* query_symbol() const {
+    return query_symbol_.data();
+  }
+  /// score(query symbol q, subject symbol) for q < query_symbols();
+  /// kFloor16 throughout for kPadSymbol.
+  [[nodiscard]] const std::int16_t* pair_row16(std::uint8_t symbol) const {
+    return pairs16_.data() +
+           static_cast<std::size_t>(symbol) * ScoringScheme::kAlphabetSize;
   }
 
  private:
   std::string query_;
   std::size_t n_ = 0;
   bool lane_safe_ = true;
-  std::vector<std::int16_t> profile16_;  // [symbol][query position]
-  std::vector<std::int32_t> profile32_;
+  std::size_t query_symbols_ = 0;
+  std::vector<std::int32_t> profile32_;   // [symbol][query position]
+  LaneVector rows16_;                     // [query position][kProfileRow]
+  std::vector<std::uint8_t> query_symbol_;
+  std::vector<std::int16_t> pairs16_;     // [symbol][query symbol]
 };
 
 /// Work/saturation accounting for one batch call. The caller (DSEARCH)
@@ -99,7 +150,7 @@ struct BatchMetrics {
 /// Reusable per-thread DP state. Buffers grow to the largest problem seen
 /// and are never shrunk; one AlignScratch per thread, never shared.
 struct AlignScratch {
-  std::vector<std::int16_t> h16, e16;     // int16 lane state, (n+1)*kBatchLanes
+  LaneVector h16, e16;                    // int16 lane state, (n+1) x lanes
   std::vector<std::uint8_t> enc;          // encoded subjects, concatenated
   std::vector<std::size_t> enc_offset;    // per-subject offsets into enc
   std::vector<std::size_t> order;         // length-sorted packing order

@@ -1,14 +1,16 @@
 #pragma once
 // Lane-parallel int16 alignment kernels behind the runtime SIMD dispatch
-// (util/simd.hpp). One kernel table per tier:
+// (util/simd.hpp). Every vector tier is one instantiation of the lane
+// kernel template in align_lanes_kernel.hpp over a vector-traits type:
 //
-//   portable_kernels()  fixed-width-lane C++ compiled at the baseline
-//                       target ISA (auto-vectorized; the "sse2" tier)
-//   avx2_kernels()      hand-written AVX2 intrinsics from the -mavx2
-//                       translation unit; forwards to portable when the
-//                       binary was built without AVX2 support
+//   portable_kernels()  16 lanes of plain int16 arrays, auto-vectorized at
+//                       the baseline target ISA (the "sse2" tier)
+//   avx2_kernels()      16 lanes in one ymm (-mavx2 translation unit)
+//   avx512_kernels()    32 lanes in one zmm (-mavx512bw translation unit)
 //
-// Both tables implement the same contract (docs/KERNELS.md):
+// The AVX tables forward to the portable one when the binary was built
+// without that ISA; the dispatch never selects them on such hosts anyway.
+// All tables implement the same contract (docs/KERNELS.md):
 //
 //   sw  Smith–Waterman. best[l] is the lane's running maximum clamped to
 //       [0, kSat16]; best[l] >= kSat16 means the lane saturated and must
@@ -23,9 +25,12 @@
 // Callers must guarantee, per lane: len >= 1, profile.lane_safe(), and
 // oe + max(query_len, len) * ext < -kFloor16 so every boundary cell is
 // representable without clamping (batch_align_scores prechecks this and
-// routes ineligible lanes straight to the exact kernels).
+// routes ineligible lanes straight to the exact kernels). Per call:
+// scratch.h16 and scratch.e16 hold at least (query_len + 1) * lanes
+// entries, and best/out have room for kBatchLanes values.
 
 #include "bio/align_batch.hpp"
+#include "util/simd.hpp"
 
 namespace hdcs::bio::lanes {
 
@@ -45,6 +50,7 @@ using GlobalFn = void (*)(const QueryProfile&, const LaneBatch&,
                           std::int16_t out[kBatchLanes], std::uint32_t* railed);
 
 struct Kernels {
+  std::size_t lanes;  // subjects per call, <= kBatchLanes
   SwFn sw;
   GlobalFn nw;
   GlobalFn sg;
@@ -52,5 +58,9 @@ struct Kernels {
 
 const Kernels& portable_kernels();
 const Kernels& avx2_kernels();
+const Kernels& avx512_kernels();
+
+/// The table a dispatch tier runs; nullptr for kScalar (no lanes at all).
+const Kernels* kernels_for(SimdTier tier);
 
 }  // namespace hdcs::bio::lanes

@@ -1,17 +1,16 @@
-// AVX2 tier of the lane kernels: the same contract as
-// align_lanes_portable.cpp, written with explicit _mm256 intrinsics —
-// kBatchLanes (16) int16 lanes are exactly one 256-bit register, so every
-// lane loop of the portable kernel collapses to a handful of instructions.
+// AVX2 tier of the lane kernels: 16 int16 lanes in one ymm.
 //
-// This translation unit is compiled with -mavx2 (see src/bio/CMakeLists.txt)
-// and nothing else: no -mfma, so no multiply-add contraction, and the
-// runtime dispatch (util/simd.hpp) only selects this table when cpuid
-// reports AVX2, so the intrinsics never execute on older hardware. When the
-// toolchain cannot target AVX2 at all (non-x86 builds), the table forwards
-// to the portable kernels; dispatch would not pick it there anyway.
+// Substitution lookup is the per-column score profile (ColumnProfile in
+// align_lanes_kernel.hpp): AVX2 has no 16-bit gather and no 16-bit
+// permute across the whole register, so once per DP column the 16 lanes'
+// subject symbols expand into a [query symbol][lane] table and each cell
+// loads one row of it — one aligned vector load instead of 16 scalar
+// loads and a store-forwarded reload.
 //
-// The per-cell profile gather (sub[l] = col[l][i-1]) stays scalar: AVX2 has
-// no 16-bit gather, and 16 L1-resident loads keep pace with the arithmetic.
+// Compiled with -mavx2 (see src/bio/CMakeLists.txt) and nothing else: no
+// -mfma. The dispatch (util/simd.hpp) only selects this table when cpuid
+// reports AVX2. Toolchains that cannot target AVX2 compile the forwarding
+// stub at the bottom instead.
 
 #include "bio/align_lanes.hpp"
 
@@ -19,176 +18,57 @@
 
 #include <immintrin.h>
 
+#include "bio/align_lanes_kernel.hpp"
+
 namespace hdcs::bio::lanes {
 
 namespace {
 
-inline __m256i load(const std::int16_t* p) {
-  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-}
-inline void store(std::int16_t* p, __m256i v) {
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-}
+struct Avx2 {
+  static constexpr std::size_t kLanes = 16;
+  using V = __m256i;
+  using M = __m256i;  // -1 on live lanes, 0 on dead ones
 
-void sw_lanes16_avx2(const QueryProfile& p, const LaneBatch& batch,
-                     std::int16_t oe16, std::int16_t ext16, AlignScratch& sc,
-                     std::int16_t best[kBatchLanes]) {
-  const std::size_t n = p.length();
-  sc.h16.assign((n + 1) * kBatchLanes, 0);
-  sc.e16.assign((n + 1) * kBatchLanes, kFloor16);
-  std::int16_t* const h = sc.h16.data();
-  std::int16_t* const e = sc.e16.data();
-
-  const __m256i voe = _mm256_set1_epi16(oe16);
-  const __m256i vext = _mm256_set1_epi16(ext16);
-  const __m256i vzero = _mm256_setzero_si256();
-  const __m256i vsat = _mm256_set1_epi16(kSat16);
-  __m256i vbst = vzero;
-
-  alignas(32) std::int16_t sub[kBatchLanes];
-  const std::int16_t* col[kBatchLanes];
-
-  for (std::size_t t = 0; t < batch.max_len; ++t) {
-    for (std::size_t l = 0; l < kBatchLanes; ++l) {
-      std::uint8_t symbol = t < batch.len[l] ? batch.seq[l][t] : kPadSymbol;
-      col[l] = p.column16(symbol);
-    }
-    __m256i vf = _mm256_set1_epi16(kFloor16);  // F(0, j) = -inf
-    __m256i vhdiag = vzero;                    // H(0, j-1) = 0
-    for (std::size_t i = 1; i <= n; ++i) {
-      for (std::size_t l = 0; l < kBatchLanes; ++l) sub[l] = col[l][i - 1];
-      const __m256i vsub = load(sub);
-      const __m256i vhup = load(h + (i - 1) * kBatchLanes);  // H(i-1, j)
-      vf = _mm256_max_epi16(_mm256_sub_epi16(vhup, voe),
-                            _mm256_sub_epi16(vf, vext));
-      const __m256i vold = load(h + i * kBatchLanes);  // H(i, j-1)
-      const __m256i ve =
-          _mm256_max_epi16(_mm256_sub_epi16(vold, voe),
-                           _mm256_sub_epi16(load(e + i * kBatchLanes), vext));
-      __m256i vhn = _mm256_add_epi16(vhdiag, vsub);
-      vhn = _mm256_max_epi16(vhn, ve);
-      vhn = _mm256_max_epi16(vhn, vf);
-      vhn = _mm256_max_epi16(vhn, vzero);
-      vhn = _mm256_min_epi16(vhn, vsat);
-      vhdiag = vold;
-      store(h + i * kBatchLanes, vhn);
-      store(e + i * kBatchLanes, ve);
-      vbst = _mm256_max_epi16(vbst, vhn);
-    }
+  static V load(const std::int16_t* p) {
+    return _mm256_load_si256(reinterpret_cast<const __m256i*>(p));
   }
-  store(best, vbst);
-}
+  static void store(std::int16_t* p, V v) {
+    _mm256_store_si256(reinterpret_cast<__m256i*>(p), v);
+  }
+  static V set1(std::int16_t x) { return _mm256_set1_epi16(x); }
+  static V add(V a, V b) { return _mm256_add_epi16(a, b); }
+  static V sub(V a, V b) { return _mm256_sub_epi16(a, b); }
+  static V max(V a, V b) { return _mm256_max_epi16(a, b); }
+  static V min(V a, V b) { return _mm256_min_epi16(a, b); }
 
-template <bool kSemi>
-void global_lanes16_avx2(const QueryProfile& p, const LaneBatch& batch,
-                         std::int16_t oe16, std::int16_t ext16,
-                         AlignScratch& sc, std::int16_t out[kBatchLanes],
-                         std::uint32_t* railed) {
-  const std::size_t n = p.length();
-  sc.h16.resize((n + 1) * kBatchLanes);
-  sc.e16.resize((n + 1) * kBatchLanes);
-  std::int16_t* const h = sc.h16.data();
-  std::int16_t* const e = sc.e16.data();
-
-  const __m256i vfloor = _mm256_set1_epi16(kFloor16);
-  for (std::size_t i = 0; i <= n; ++i) {
-    auto hv = static_cast<std::int16_t>(
-        i == 0 ? 0 : -(oe16 + static_cast<std::int32_t>(i - 1) * ext16));
-    store(h + i * kBatchLanes, _mm256_set1_epi16(hv));
-    store(e + i * kBatchLanes, vfloor);  // E(i, 0) = -inf
+  static M mask(const std::int16_t* live) { return load(live); }
+  static V select(M m, V a, V b) { return _mm256_blendv_epi8(b, a, m); }
+  // Dead lanes contribute 0, which never moves an accumulator that
+  // started at 0 (min stays <= 0, max stays >= 0).
+  static V min_live(M m, V acc, V v) {
+    return min(acc, _mm256_and_si256(v, m));
+  }
+  static V max_live(M m, V acc, V v) {
+    return max(acc, _mm256_and_si256(v, m));
+  }
+  static std::uint32_t railed(V mn, V mx) {
+    const V low = _mm256_cmpgt_epi16(set1(kFloor16 + 1), mn);
+    const V high = _mm256_cmpgt_epi16(mx, set1(kSat16 - 1));
+    const auto bytes = static_cast<std::uint32_t>(
+        _mm256_movemask_epi8(_mm256_or_si256(low, high)));
+    std::uint32_t r = 0;
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      r |= ((bytes >> (2 * l)) & 1u) << l;
+    }
+    return r;
   }
 
-  const __m256i voe = _mm256_set1_epi16(oe16);
-  const __m256i vext = _mm256_set1_epi16(ext16);
-  const __m256i vzero = _mm256_setzero_si256();
-  const __m256i vsat = _mm256_set1_epi16(kSat16);
-  __m256i vminacc = vzero;
-  __m256i vmaxacc = vzero;
-  __m256i vbest = kSemi ? load(h + n * kBatchLanes) : vzero;
-  if constexpr (!kSemi) store(out, vzero);  // lanes with len 0 stay 0
-
-  alignas(32) std::int16_t sub[kBatchLanes];
-  alignas(32) std::int16_t amask[kBatchLanes];
-  const std::int16_t* col[kBatchLanes];
-
-  for (std::size_t t = 0; t < batch.max_len; ++t) {
-    for (std::size_t l = 0; l < kBatchLanes; ++l) {
-      std::uint8_t symbol = t < batch.len[l] ? batch.seq[l][t] : kPadSymbol;
-      col[l] = p.column16(symbol);
-      amask[l] = t < batch.len[l] ? static_cast<std::int16_t>(-1) : 0;
-    }
-    const __m256i vamask = load(amask);
-    auto h0 = static_cast<std::int16_t>(
-        kSemi ? 0 : -(oe16 + static_cast<std::int32_t>(t) * ext16));
-    __m256i vf = vfloor;       // F(0, t+1) = -inf
-    __m256i vhdiag = load(h);  // H(0, t)
-    store(h, _mm256_set1_epi16(h0));
-    for (std::size_t i = 1; i <= n; ++i) {
-      for (std::size_t l = 0; l < kBatchLanes; ++l) sub[l] = col[l][i - 1];
-      const __m256i vsub = load(sub);
-      const __m256i vhup = load(h + (i - 1) * kBatchLanes);
-      vf = _mm256_max_epi16(_mm256_sub_epi16(vhup, voe),
-                            _mm256_sub_epi16(vf, vext));
-      const __m256i vold = load(h + i * kBatchLanes);  // H(i, t)
-      const __m256i ve =
-          _mm256_max_epi16(_mm256_sub_epi16(vold, voe),
-                           _mm256_sub_epi16(load(e + i * kBatchLanes), vext));
-      __m256i vhn = _mm256_add_epi16(vhdiag, vsub);
-      vhn = _mm256_max_epi16(vhn, ve);
-      vhn = _mm256_max_epi16(vhn, vf);
-      vhn = _mm256_max_epi16(vhn, vfloor);
-      vhn = _mm256_min_epi16(vhn, vsat);
-      vhdiag = vold;
-      store(h + i * kBatchLanes, vhn);
-      store(e + i * kBatchLanes, ve);
-      // Rail witness over live lanes (dead lanes mask to 0, never a rail).
-      const __m256i vhm = _mm256_and_si256(vhn, vamask);
-      vminacc = _mm256_min_epi16(vminacc, vhm);
-      vmaxacc = _mm256_max_epi16(vmaxacc, vhm);
-    }
-    if constexpr (kSemi) {
-      const __m256i vlast = load(h + n * kBatchLanes);
-      vbest = _mm256_max_epi16(vbest,
-                               _mm256_blendv_epi8(vfloor, vlast, vamask));
-    } else {
-      for (std::size_t l = 0; l < kBatchLanes; ++l) {
-        if (batch.len[l] == t + 1) out[l] = h[n * kBatchLanes + l];
-      }
-    }
-  }
-  if constexpr (kSemi) store(out, vbest);
-
-  const __m256i vlow =
-      _mm256_cmpgt_epi16(_mm256_set1_epi16(kFloor16 + 1), vminacc);
-  const __m256i vhigh =
-      _mm256_cmpgt_epi16(vmaxacc, _mm256_set1_epi16(kSat16 - 1));
-  const auto bytes = static_cast<std::uint32_t>(
-      _mm256_movemask_epi8(_mm256_or_si256(vlow, vhigh)));
-  std::uint32_t r = 0;
-  for (std::size_t l = 0; l < kBatchLanes; ++l) {
-    if ((bytes >> (2 * l)) & 1u) r |= 1u << l;
-  }
-  *railed = r;
-}
-
-void nw_lanes16_avx2(const QueryProfile& p, const LaneBatch& b,
-                     std::int16_t oe, std::int16_t ext, AlignScratch& sc,
-                     std::int16_t out[kBatchLanes], std::uint32_t* railed) {
-  global_lanes16_avx2<false>(p, b, oe, ext, sc, out, railed);
-}
-
-void sg_lanes16_avx2(const QueryProfile& p, const LaneBatch& b,
-                     std::int16_t oe, std::int16_t ext, AlignScratch& sc,
-                     std::int16_t out[kBatchLanes], std::uint32_t* railed) {
-  global_lanes16_avx2<true>(p, b, oe, ext, sc, out, railed);
-}
+  using Lookup = ColumnProfile<Avx2>;
+};
 
 }  // namespace
 
-const Kernels& avx2_kernels() {
-  static const Kernels k{&sw_lanes16_avx2, &nw_lanes16_avx2, &sg_lanes16_avx2};
-  return k;
-}
+const Kernels& avx2_kernels() { return lane_kernels<Avx2>(); }
 
 }  // namespace hdcs::bio::lanes
 
@@ -196,9 +76,6 @@ const Kernels& avx2_kernels() {
 
 namespace hdcs::bio::lanes {
 
-// Built without AVX2 support (non-x86 target or ancient toolchain): the
-// dispatch never selects this tier on such hosts, but keep the table well
-// defined by forwarding to the portable kernels.
 const Kernels& avx2_kernels() { return portable_kernels(); }
 
 }  // namespace hdcs::bio::lanes

@@ -276,6 +276,8 @@ class Client {
   std::atomic<std::size_t> endpoint_{0};
   ReconnectBackoff backoff_;
   net::BlobCache blob_cache_;
+  /// Receive buffer for compressed blob bodies, reused across units.
+  std::vector<std::byte> blob_wire_;
   /// Span profile of the unit currently being processed. Reset when an
   /// assignment is decoded; context_for/ensure_blobs/resolve_blob
   /// accumulate blob-fetch and decompress spans into it; attached to the

@@ -179,8 +179,8 @@ Server::Server(ServerConfig config)
       core_(config_.scheduler, make_policy(config_.policy_spec)),
       epoch_(std::chrono::steady_clock::now()) {
   core_.set_tracer(config_.tracer);
-  // 0=scalar 1=sse2 2=avx2 (util/simd.hpp); which kernel tier this process
-  // dispatches — visible in metrics dumps and hdcs_top.
+  // 0=scalar 1=sse2 2=avx2 3=avx512 (util/simd.hpp); which kernel tier
+  // this process dispatches — visible in metrics dumps and hdcs_top.
   obs::Registry::global().gauge("simd.tier")
       .set(static_cast<double>(static_cast<int>(simd_tier())));
 }

@@ -556,8 +556,9 @@ void DPRmlAlgorithm::initialize(std::span<const std::byte> problem_data) {
   rates_ = spec.rates;
   patterns_ = phylo::compress(alignment_);
   engine_ = std::make_unique<phylo::LikelihoodEngine>(*patterns_, model_, rates_);
-  // 0=scalar 1=sse2 2=avx2: which partials-kernel tier the likelihood
-  // engine will dispatch on this host (util/simd.hpp).
+  // 0=scalar 1=sse2 2=avx2 3=avx512: which partials-kernel tier the
+  // likelihood engine will dispatch on this host (util/simd.hpp; avx512
+  // runs the AVX2 partials kernel).
   obs::Registry::global().gauge("simd.tier")
       .set(static_cast<double>(static_cast<int>(simd_tier())));
 

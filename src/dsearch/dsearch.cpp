@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <future>
+#include <numeric>
+#include <span>
 #include <string_view>
 
 #include "obs/metrics.hpp"
@@ -71,7 +73,7 @@ DSearchConfig decode_config(ByteReader& r) {
   return c;
 }
 
-void encode_sequences(ByteWriter& w, const std::vector<bio::Sequence>& seqs) {
+void encode_sequences(ByteWriter& w, std::span<const bio::Sequence> seqs) {
   w.u32(static_cast<std::uint32_t>(seqs.size()));
   for (const auto& s : seqs) {
     w.str(s.id);
@@ -160,6 +162,38 @@ std::vector<bio::QueryProfile> build_profiles(
   return profiles;
 }
 
+/// A database sequence as the search reads it: views into bytes the caller
+/// keeps alive — a unit's chunk blob on a donor, the Sequences themselves
+/// in search_serial. Only the top-k hits ever copy their id.
+struct SubjectView {
+  std::string_view id;
+  std::string_view residues;
+};
+
+std::vector<SubjectView> view_sequences(
+    const std::vector<bio::Sequence>& seqs) {
+  std::vector<SubjectView> views;
+  views.reserve(seqs.size());
+  for (const auto& s : seqs) views.push_back({s.id, s.residues});
+  return views;
+}
+
+/// decode_sequences without the copies: views into r's buffer.
+std::vector<SubjectView> view_sequences(ByteReader& r) {
+  std::uint32_t n = r.u32();
+  std::vector<SubjectView> views;
+  // Every entry takes at least its two u32 lengths, so a corrupt count
+  // cannot reserve more than the buffer could hold.
+  views.reserve(std::min<std::size_t>(n, r.remaining() / 8));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    SubjectView v;
+    v.id = r.str_view();
+    v.residues = r.str_view();
+    views.push_back(v);
+  }
+  return views;
+}
+
 /// Raw scores for database sequences [begin, end): scores[q][i - begin] is
 /// profile q vs chunk[i]. The unit of work handed to pool threads.
 struct BlockScores {
@@ -168,18 +202,15 @@ struct BlockScores {
 };
 
 BlockScores score_block(const std::vector<bio::QueryProfile>& profiles,
-                        const std::vector<bio::Sequence>& chunk,
-                        std::size_t begin, std::size_t end,
-                        const DSearchConfig& config,
+                        std::span<const SubjectView> chunk, std::size_t begin,
+                        std::size_t end, const DSearchConfig& config,
                         const bio::ScoringScheme& scheme) {
   // DP scratch is reused across blocks, chunks, and queries by each thread.
   static thread_local bio::AlignScratch scratch;
   BlockScores out;
   std::vector<std::string_view> views;
   views.reserve(end - begin);
-  for (std::size_t i = begin; i < end; ++i) {
-    views.emplace_back(chunk[i].residues);
-  }
+  for (std::size_t i = begin; i < end; ++i) views.push_back(chunk[i].residues);
   out.scores.reserve(profiles.size());
   for (const auto& profile : profiles) {
     out.scores.push_back(bio::batch_align_scores(config.mode, profile, views,
@@ -196,7 +227,7 @@ BlockScores score_block(const std::vector<bio::QueryProfile>& profiles,
 /// and the hit ranking — hence the encoded payload — are byte-identical
 /// for every thread count.
 SearchResult search_chunk(const std::vector<bio::QueryProfile>& profiles,
-                          const std::vector<bio::Sequence>& chunk,
+                          std::span<const SubjectView> chunk,
                           const DSearchConfig& config,
                           const bio::ScoringScheme& scheme,
                           std::vector<QueryScoreStats>* stats = nullptr,
@@ -215,7 +246,7 @@ SearchResult search_chunk(const std::vector<bio::QueryProfile>& profiles,
       std::size_t begin = std::min(b * per_block, chunk.size());
       std::size_t end = std::min(begin + per_block, chunk.size());
       futures.push_back(pool->submit_with_result(
-          [&profiles, &chunk, begin, end, &config, &scheme] {
+          [&profiles, chunk, begin, end, &config, &scheme] {
             return score_block(profiles, chunk, begin, end, config, scheme);
           }));
     }
@@ -225,31 +256,47 @@ SearchResult search_chunk(const std::vector<bio::QueryProfile>& profiles,
     blocks.push_back(
         score_block(profiles, chunk, 0, chunk.size(), config, scheme));
   }
-
-  SearchResult result(profiles.size());
-  if (stats) stats->assign(profiles.size(), QueryScoreStats{});
-  std::size_t base = 0;
-  for (const auto& block : blocks) {
-    for (std::size_t q = 0; q < profiles.size(); ++q) {
-      const auto& scores = block.scores[q];
-      auto& hits = result[q];
-      for (std::size_t i = 0; i < scores.size(); ++i) {
-        Hit hit;
-        hit.db_id = chunk[base + i].id;
-        hit.score = scores[i];
-        if (stats) (*stats)[q].add(static_cast<double>(hit.score));
-        hits.push_back(std::move(hit));
-      }
-    }
-    base += block.scores.empty() ? 0 : block.scores[0].size();
-    if (metrics) {
+  if (metrics) {
+    for (const auto& block : blocks) {
       metrics->cells += block.metrics.cells;
       metrics->saturations += block.metrics.saturations;
     }
   }
-  for (auto& hits : result) {
-    std::sort(hits.begin(), hits.end());
-    if (hits.size() > config.top_k) hits.resize(config.top_k);
+
+  SearchResult result(profiles.size());
+  if (stats) stats->assign(profiles.size(), QueryScoreStats{});
+  std::vector<std::int64_t> scores;
+  std::vector<std::size_t> rank;
+  for (std::size_t q = 0; q < profiles.size(); ++q) {
+    // This query's scores in database order.
+    scores.clear();
+    for (const auto& block : blocks) {
+      scores.insert(scores.end(), block.scores[q].begin(),
+                    block.scores[q].end());
+    }
+    if (stats) {
+      for (std::int64_t score : scores) {
+        (*stats)[q].add(static_cast<double>(score));
+      }
+    }
+    // Rank by Hit's order (score descending, then id) without building a
+    // Hit per subject: equal (score, id) pairs are interchangeable, so the
+    // kept prefix is exactly what sorting every Hit would keep.
+    rank.resize(scores.size());
+    std::iota(rank.begin(), rank.end(), std::size_t{0});
+    const std::size_t keep = std::min(config.top_k, rank.size());
+    std::partial_sort(rank.begin(), rank.begin() + keep, rank.end(),
+                      [&](std::size_t a, std::size_t b) {
+                        if (scores[a] != scores[b]) {
+                          return scores[a] > scores[b];
+                        }
+                        return chunk[a].id < chunk[b].id;
+                      });
+    auto& hits = result[q];
+    hits.reserve(keep);
+    for (std::size_t k = 0; k < keep; ++k) {
+      hits.push_back(Hit{std::string(chunk[rank[k]].id), scores[rank[k]]});
+    }
   }
   return result;
 }
@@ -262,7 +309,8 @@ SearchResult search_serial(const std::vector<bio::Sequence>& queries,
                            std::vector<QueryScoreStats>* stats) {
   auto scheme = config.make_scheme();
   auto profiles = build_profiles(queries, scheme);
-  return search_chunk(profiles, database, config, scheme, stats);
+  return search_chunk(profiles, view_sequences(database), config, scheme,
+                      stats);
 }
 
 // ---- DataManager ----
@@ -310,9 +358,11 @@ std::optional<dist::WorkUnit> DSearchDataManager::next_unit(
   dist::WorkUnit unit;
   unit.stage = 0;
   unit.cost_ops = cost;
-  ByteWriter w;
-  std::vector<bio::Sequence> chunk(database_.begin() + begin,
-                                   database_.begin() + cursor_);
+  auto chunk = std::span<const bio::Sequence>(database_).subspan(
+      begin, cursor_ - begin);
+  std::size_t bytes = 4;
+  for (const auto& s : chunk) bytes += 8 + s.id.size() + s.residues.size();
+  ByteWriter w(bytes);
   encode_sequences(w, chunk);
   // The chunk rides as a content-addressed blob (empty payload): replicas
   // of this unit — and re-issues after a lease expiry — share one download
@@ -383,8 +433,8 @@ void DSearchAlgorithm::initialize(std::span<const std::byte> problem_data) {
   r.expect_end();
   scheme_ = config_.make_scheme();
   profiles_ = build_profiles(queries_, *scheme_);
-  // 0=scalar 1=sse2 2=avx2: which alignment-kernel tier chunk_search will
-  // dispatch on this host (util/simd.hpp).
+  // 0=scalar 1=sse2 2=avx2 3=avx512: which alignment-kernel tier
+  // search_chunk will dispatch on this host (util/simd.hpp).
   obs::Registry::global().gauge("simd.tier")
       .set(static_cast<double>(static_cast<int>(simd_tier())));
 }
@@ -401,7 +451,7 @@ std::vector<std::byte> DSearchAlgorithm::process(const dist::WorkUnit& unit) {
   ByteReader r(unit.blobs.empty() ? std::span<const std::byte>(unit.payload)
                                   : std::span<const std::byte>(
                                         unit.blobs.front().bytes));
-  auto chunk = decode_sequences(r);
+  auto chunk = view_sequences(r);
   r.expect_end();
   if (threads_ > 1 && !pool_) pool_ = std::make_unique<ThreadPool>(threads_);
   std::vector<QueryScoreStats> stats;

@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -177,7 +178,7 @@ void register_algorithm();
 // ---- wire helpers (exposed for tests) ----
 void encode_config(ByteWriter& w, const DSearchConfig& config);
 DSearchConfig decode_config(ByteReader& r);
-void encode_sequences(ByteWriter& w, const std::vector<bio::Sequence>& seqs);
+void encode_sequences(ByteWriter& w, std::span<const bio::Sequence> seqs);
 std::vector<bio::Sequence> decode_sequences(ByteReader& r);
 void encode_result(ByteWriter& w, const SearchResult& result);
 SearchResult decode_result(ByteReader& r);

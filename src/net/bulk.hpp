@@ -64,10 +64,14 @@ EncodedBlobV4 encode_blob_v4(std::span<const std::byte> data);
 
 /// Receive a v4 blob. Both raw_size and wire_size are bounded by max_bytes
 /// before any allocation. When `decompress_s` is non-null, the wall seconds
-/// spent in LZ decompression are *added* to it (span profiling).
+/// spent in LZ decompression are *added* to it (span profiling). A
+/// compressed body is read into `wire_scratch` when given, so a caller
+/// receiving blob after blob reuses one buffer instead of allocating and
+/// freeing a body-sized one per blob.
 std::vector<std::byte> recv_blob_v4(
     TcpStream& stream, std::size_t max_bytes = kDefaultMaxBlobBytes,
-    double* decompress_s = nullptr);
+    double* decompress_s = nullptr,
+    std::vector<std::byte>* wire_scratch = nullptr);
 
 }  // namespace hdcs::net
 

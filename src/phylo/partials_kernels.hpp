@@ -19,7 +19,8 @@
 //   scalar    the reference loop with auto-vectorization disabled
 //             (HDCS_SIMD=scalar: genuinely scalar code)
 //   portable  the same loop, compiler-vectorized at the baseline ISA
-//   avx2      explicit 4-wide _mm256d intrinsics (broadcast-column form)
+//   avx2      explicit 4-wide _mm256d intrinsics (broadcast-column form);
+//             also the avx512 tier's kernel
 
 #include <cstddef>
 

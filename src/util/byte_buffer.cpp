@@ -73,6 +73,12 @@ std::string ByteReader::str() {
   return s;
 }
 
+std::string_view ByteReader::str_view() {
+  std::uint32_t n = u32();
+  auto bytes = raw(n);
+  return {reinterpret_cast<const char*>(bytes.data()), n};
+}
+
 std::vector<std::byte> ByteReader::bytes() {
   std::uint32_t n = u32();
   auto view = raw(n);

@@ -76,6 +76,8 @@ class ByteReader {
   bool boolean() { return u8() != 0; }
 
   std::string str();
+  /// Borrow a length-prefixed string (no copy); valid while the source is.
+  std::string_view str_view();
   std::vector<std::byte> bytes();
   /// Borrow `n` raw bytes (no copy); the view is valid while the source is.
   std::span<const std::byte> raw(std::size_t n);

@@ -13,6 +13,7 @@ namespace {
 SimdTier detect() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512bw")) return SimdTier::kAvx512;
   if (__builtin_cpu_supports("avx2")) return SimdTier::kAvx2;
   return SimdTier::kSse2;  // SSE2 is baseline on x86-64
 #else
@@ -28,7 +29,7 @@ SimdTier initial_tier() {
   SimdTier requested;
   if (!parse_simd_tier(env, &requested)) {
     LOG_WARN("HDCS_SIMD=" << env
-                          << " is not scalar|sse2|avx2; using detected tier "
+                          << " is not scalar|sse2|avx2|avx512; using detected tier "
                           << to_string(detected));
     return detected;
   }
@@ -73,6 +74,7 @@ const char* to_string(SimdTier t) {
     case SimdTier::kScalar: return "scalar";
     case SimdTier::kSse2: return "sse2";
     case SimdTier::kAvx2: return "avx2";
+    case SimdTier::kAvx512: return "avx512";
   }
   return "?";
 }
@@ -86,6 +88,7 @@ bool parse_simd_tier(std::string_view text, SimdTier* out) {
   if (lower == "scalar") *out = SimdTier::kScalar;
   else if (lower == "sse2") *out = SimdTier::kSse2;
   else if (lower == "avx2") *out = SimdTier::kAvx2;
+  else if (lower == "avx512") *out = SimdTier::kAvx512;
   else return false;
   return true;
 }

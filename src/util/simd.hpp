@@ -1,7 +1,7 @@
 #pragma once
 // Runtime SIMD dispatch: one tier selected at startup, every vectorized
 // kernel (bio lane kernels, phylo partials kernels) branches on it once per
-// batch, never per cell. Three tiers:
+// batch, never per cell. Four tiers:
 //
 //   kScalar  exact reference paths, no lane kernels at all. Ground truth
 //            for the equivalence tests and the degraded-hardware escape
@@ -9,14 +9,18 @@
 //   kSse2    portable fixed-width-lane kernels compiled at the baseline
 //            target ISA (SSE2 on x86-64; whatever the baseline vector ISA
 //            is elsewhere). Always available.
-//   kAvx2    hand-written AVX2 intrinsics in dedicated -mavx2 translation
-//            units; selected only when cpuid reports AVX2.
+//   kAvx2    AVX2 kernels in dedicated -mavx2 translation units; selected
+//            only when cpuid reports AVX2.
+//   kAvx512  32-lane AVX-512BW alignment kernels (-mavx512bw translation
+//            unit); selected only when cpuid reports AVX-512BW. Kernels
+//            without an AVX-512 form (the likelihood partials) run their
+//            AVX2 version at this tier.
 //
-// Selection order: HDCS_SIMD=scalar|sse2|avx2 if set (clamped down to what
-// the hardware supports, with a warning), else the highest detected tier.
-// The choice is cached after the first query; set_simd_tier()/
-// ScopedSimdTier exist so tests and benchmarks can pin a tier without
-// re-exec'ing under a different environment.
+// Selection order: HDCS_SIMD=scalar|sse2|avx2|avx512 if set (clamped down
+// to what the hardware supports, with a warning), else the highest
+// detected tier. The choice is cached after the first query;
+// set_simd_tier()/ScopedSimdTier exist so tests and benchmarks can pin a
+// tier without re-exec'ing under a different environment.
 //
 // Every tier produces bit-identical results: the alignment kernels are
 // exact-or-fallback (int16 saturation reruns through int64), and the
@@ -27,7 +31,7 @@
 
 namespace hdcs {
 
-enum class SimdTier : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class SimdTier : int { kScalar = 0, kSse2 = 1, kAvx2 = 2, kAvx512 = 3 };
 
 /// The tier every dispatching kernel uses (env override applied, cached).
 SimdTier simd_tier();
@@ -45,7 +49,7 @@ void set_simd_tier(SimdTier t);
 
 const char* to_string(SimdTier t);
 
-/// Parse "scalar"/"sse2"/"avx2" (case-insensitive). False on junk.
+/// Parse "scalar"/"sse2"/"avx2"/"avx512" (case-insensitive). False on junk.
 bool parse_simd_tier(std::string_view text, SimdTier* out);
 
 /// RAII tier pin for tests/benchmarks; restores the previous tier.

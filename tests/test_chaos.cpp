@@ -302,7 +302,7 @@ TEST(Chaos, LyingDonorsCannotCorruptResultsAcrossServerRestart) {
   constexpr int kDonors = 5;  // donor 0 lies on every unit it touches
   std::vector<std::thread> donors;
   std::atomic<int> donor_failures{0};
-  for (int i = 0; i < kDonors; ++i) {
+  auto start_donor = [&](int i) {
     donors.emplace_back([&, i] {
       ClientConfig ccfg;
       ccfg.server_port = scfg.port;
@@ -318,7 +318,33 @@ TEST(Chaos, LyingDonorsCannotCorruptResultsAcrossServerRestart) {
         donor_failures.fetch_add(1);
       }
     });
+  };
+  // The liar starts alone and the honest donors join once it has cast
+  // blacklist_after votes. Each of those units still needs an honest
+  // replica, so every one of them is a vote the liar loses, however fast
+  // the honest donors drain the rest of the work.
+  auto liar_votes = [&] {
+    std::uint64_t liar = 0;
+    int votes = 0;
+    for (const auto& line : tracer.lines()) {
+      auto rec = obs::parse_trace_line(line);
+      if (rec.ev == "client_joined" && rec.text("name") == "liar") {
+        liar = static_cast<std::uint64_t>(rec.number("client"));
+      } else if (rec.ev == "vote_recorded" && liar != 0 &&
+                 static_cast<std::uint64_t>(rec.number("client")) == liar) {
+        votes += 1;
+      }
+    }
+    return votes;
+  };
+  start_donor(0);
+  const int needed = scfg.scheduler.blacklist_after;
+  for (int i = 0; i < 1000 && liar_votes() < needed; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
+  EXPECT_GE(liar_votes(), needed)
+      << "the liar never got work";
+  for (int i = 1; i < kDonors; ++i) start_donor(i);
 
   // Progress + one durable autosave, then kill: votes mid-flight and the
   // liar's accumulating loss record survive only through the checkpoint.

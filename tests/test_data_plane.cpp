@@ -7,10 +7,13 @@
 
 #include <unistd.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <set>
+#include <map>
+#include <mutex>
 #include <thread>
 
 #include "bio/seqgen.hpp"
@@ -605,11 +608,56 @@ TEST(DataPlaneTcp, MixedV3AndV4DonorsAgree) {
   server.stop();
 }
 
+/// Holds each donor's first unit until `donors` donors are all inside
+/// their first unit. With max_outstanding_per_client = 1 a waiting donor
+/// can take no second lease, so the first leases go one per donor and
+/// every donor completes at least one unit, however the threads race.
+class FirstUnitGate {
+ public:
+  explicit FirstUnitGate(int donors) : donors_(donors) {}
+  void arrive() {
+    std::unique_lock lock(mu_);
+    arrived_ += 1;
+    cv_.notify_all();
+    // The timeout only bounds a broken run; the test's expectations then
+    // report what went wrong.
+    cv_.wait_for(lock, std::chrono::seconds(30),
+                 [&] { return arrived_ >= donors_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  const int donors_;
+  int arrived_ = 0;
+};
+
+class GatedDSearch final : public dist::Algorithm {
+ public:
+  explicit GatedDSearch(FirstUnitGate& gate) : gate_(gate) {}
+  void initialize(std::span<const std::byte> problem_data) override {
+    inner_.initialize(problem_data);
+  }
+  std::vector<std::byte> process(const dist::WorkUnit& unit) override {
+    if (first_) {
+      first_ = false;
+      gate_.arrive();
+    }
+    return inner_.process(unit);
+  }
+
+ private:
+  FirstUnitGate& gate_;
+  dsearch::DSearchAlgorithm inner_;
+  bool first_ = true;
+};
+
 TEST(DataPlaneTcp, MixedFleetProfilesComeOnlyFromV5Donors) {
   // v3 + v4 + v5 donors against one server: the merged result is
   // byte-identical to the serial reference, and every span profile the
   // trace records came from the v5 donor — exactly one per completion it
-  // contributed, none from the legacy donors.
+  // contributed, none from the legacy donors. Every donor completes at
+  // least one unit (FirstUnitGate), so the v5 donor is never starved.
   auto c = dsearch_case(331, 96);
   auto serial = dsearch::search_serial(c.queries, c.database, c.config);
 
@@ -617,17 +665,24 @@ TEST(DataPlaneTcp, MixedFleetProfilesComeOnlyFromV5Donors) {
   tracer.to_memory();
   auto scfg = dsearch_server_config();
   scfg.tracer = &tracer;
+  scfg.scheduler.max_outstanding_per_client = 1;
   dist::Server server(scfg);
   server.start();
   auto dm = std::make_shared<dsearch::DSearchDataManager>(c.queries,
                                                           c.database, c.config);
   auto pid = server.submit_problem(dm);
 
+  FirstUnitGate gate(3);
+  dist::AlgorithmRegistry gated;
+  gated.register_algorithm(dsearch::kAlgorithmName, [&] {
+    return std::make_unique<GatedDSearch>(gate);
+  });
   auto v3_cfg = donor_config(server.port(), "v3-donor");
   v3_cfg.protocol_version = 3;
   auto v4_cfg = donor_config(server.port(), "v4-donor");
   v4_cfg.protocol_version = 4;
   auto v5_cfg = donor_config(server.port(), "v5-donor");  // default: v5
+  for (auto* cfg : {&v3_cfg, &v4_cfg, &v5_cfg}) cfg->registry = &gated;
   std::thread t3([&] { dist::Client(v3_cfg).run(); });
   std::thread t4([&] { dist::Client(v4_cfg).run(); });
   std::thread t5([&] { dist::Client(v5_cfg).run(); });
@@ -639,28 +694,29 @@ TEST(DataPlaneTcp, MixedFleetProfilesComeOnlyFromV5Donors) {
   EXPECT_EQ(dm->result(), serial);
   server.stop();
 
-  std::set<std::uint64_t> v5_ids;
-  std::uint64_t v5_completed = 0, profiles = 0;
+  std::map<std::uint64_t, std::string> names;  // client id -> donor name
+  std::map<std::string, std::uint64_t> completed;
+  std::uint64_t profiles = 0;
   for (const auto& line : tracer.lines()) {
     auto rec = obs::parse_trace_line(line);
+    auto client = [&] {
+      return static_cast<std::uint64_t>(rec.number("client"));
+    };
     if (rec.ev == "client_joined") {
-      if (rec.text("name") == "v5-donor") {
-        v5_ids.insert(static_cast<std::uint64_t>(rec.number("client")));
-      }
+      names[client()] = rec.text("name");
     } else if (rec.ev == "unit_completed") {
-      if (v5_ids.count(static_cast<std::uint64_t>(rec.number("client")))) {
-        v5_completed += 1;
-      }
+      completed[names[client()]] += 1;
     } else if (rec.ev == "unit_profile") {
       profiles += 1;
-      EXPECT_TRUE(v5_ids.count(static_cast<std::uint64_t>(rec.number("client"))))
+      EXPECT_EQ(names[client()], "v5-donor")
           << "span profile attributed to a legacy donor";
       EXPECT_GE(rec.number("submit_s"), 0.0);
     }
   }
-  EXPECT_EQ(profiles, v5_completed);
-  EXPECT_GT(profiles + v5_completed, 0u)
-      << "v5 donor never completed a unit; widen the workload";
+  EXPECT_EQ(profiles, completed["v5-donor"]);
+  for (const char* name : {"v3-donor", "v4-donor", "v5-donor"}) {
+    EXPECT_GT(completed[name], 0u) << name << " never completed a unit";
+  }
 }
 
 // ------------------------------------------------------- dedup headline --

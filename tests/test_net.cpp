@@ -155,6 +155,30 @@ TEST(Bulk, Crc32KnownVector) {
   EXPECT_EQ(crc32({}), 0u);
 }
 
+TEST(Bulk, Crc32MatchesBytewiseReferenceAtEveryAlignment) {
+  // The eight-bytes-per-step loop against the textbook bitwise CRC, over
+  // every length 0..64 (every tail length and start offset mod 8) and one
+  // large buffer.
+  auto reference = [](std::span<const std::byte> data) {
+    std::uint32_t c = 0xffffffffu;
+    for (std::byte b : data) {
+      c ^= static_cast<std::uint8_t>(b);
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xffffffffu;
+  };
+  Rng rng(5);
+  std::vector<std::byte> buf(70000);
+  for (auto& b : buf) b = static_cast<std::byte>(rng.next_below(256));
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      auto view = std::span<const std::byte>(buf).subspan(off, len);
+      ASSERT_EQ(crc32(view), reference(view)) << "off " << off << " len " << len;
+    }
+  }
+  EXPECT_EQ(crc32(buf), reference(buf));
+}
+
 TEST(Bulk, RoundTripsLargeBlob) {
   Pair p;
   Rng rng(1);

@@ -24,10 +24,16 @@ namespace {
 // Alignment kernel properties across scoring schemes.
 // ---------------------------------------------------------------------------
 
+// gtest has no printer for this struct, so test listings show its raw
+// bytes. Holding the name inline (not as a pointer) and leaving no padding
+// keeps those bytes, and hence the registered test names, identical from
+// build to build and run to run.
 struct KernelCase {
-  const char* scheme;
+  char scheme[12];
   bio::Alphabet alphabet;
 };
+static_assert(sizeof(KernelCase) == sizeof(KernelCase::scheme) + sizeof(bio::Alphabet),
+              "KernelCase must have no padding bytes");
 
 class AlignKernelProperties : public ::testing::TestWithParam<KernelCase> {};
 

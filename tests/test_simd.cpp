@@ -17,6 +17,7 @@
 
 #include "bio/align.hpp"
 #include "bio/align_batch.hpp"
+#include "bio/align_lanes.hpp"
 #include "bio/seqgen.hpp"
 #include "phylo/likelihood.hpp"
 #include "phylo/partials_kernels.hpp"
@@ -29,7 +30,8 @@ namespace {
 
 std::vector<SimdTier> available_tiers() {
   std::vector<SimdTier> tiers;
-  for (SimdTier t : {SimdTier::kScalar, SimdTier::kSse2, SimdTier::kAvx2}) {
+  for (SimdTier t : {SimdTier::kScalar, SimdTier::kSse2, SimdTier::kAvx2,
+                     SimdTier::kAvx512}) {
     if (simd_tier_available(t)) tiers.push_back(t);
   }
   return tiers;
@@ -43,7 +45,9 @@ TEST(SimdDispatch, ParseRoundTripsAndRejectsJunk) {
   EXPECT_EQ(t, SimdTier::kSse2);
   EXPECT_TRUE(parse_simd_tier("avx2", &t));
   EXPECT_EQ(t, SimdTier::kAvx2);
-  EXPECT_FALSE(parse_simd_tier("avx512", &t));
+  EXPECT_TRUE(parse_simd_tier("AVX512", &t));
+  EXPECT_EQ(t, SimdTier::kAvx512);
+  EXPECT_FALSE(parse_simd_tier("avx1024", &t));
   EXPECT_FALSE(parse_simd_tier("", &t));
   for (SimdTier tier : available_tiers()) {
     SimdTier back = SimdTier::kScalar;
@@ -67,9 +71,20 @@ TEST(SimdDispatch, ScopedOverrideSetsAndRestores) {
 }
 
 TEST(SimdDispatch, RequestsAboveDetectedClampDown) {
-  ScopedSimdTier pin(SimdTier::kAvx2);
+  ScopedSimdTier pin(SimdTier::kAvx512);
   EXPECT_LE(static_cast<int>(simd_tier()),
             static_cast<int>(simd_tier_detected()));
+}
+
+TEST(SimdDispatch, EveryLaneTierFitsTheSharedLaneArrays) {
+  EXPECT_EQ(bio::lanes::kernels_for(SimdTier::kScalar), nullptr);
+  for (SimdTier tier : {SimdTier::kSse2, SimdTier::kAvx2, SimdTier::kAvx512}) {
+    const bio::lanes::Kernels* k = bio::lanes::kernels_for(tier);
+    ASSERT_NE(k, nullptr) << to_string(tier);
+    EXPECT_TRUE(k->lanes == 16 || k->lanes == 32) << to_string(tier);
+    EXPECT_LE(k->lanes, bio::kBatchLanes) << to_string(tier);
+  }
+  EXPECT_EQ(bio::lanes::kernels_for(SimdTier::kSse2)->lanes, 16u);
 }
 
 // ---------------------------------------------------------------------------
@@ -114,8 +129,10 @@ TEST(SimdBatchAlign, FuzzRaggedBatchesMatchScalarUnderEveryTier) {
   Rng rng(17);
   auto scheme = bio::ScoringScheme::blosum62();
   // Lengths chosen to hit: empty, single residue, lane-count boundaries
-  // (15/16/17 subjects), odd lengths, and wide ragged spreads.
-  const std::size_t batch_sizes[] = {1, 7, 15, 16, 17, 33};
+  // of both lane widths (15/16/17 and 31/32/33 subjects, and 63 = one
+  // full 32-lane batch plus a 31-lane tail), odd lengths, and wide ragged
+  // spreads.
+  const std::size_t batch_sizes[] = {1, 7, 15, 16, 17, 31, 32, 33, 63};
   for (std::size_t subjects : batch_sizes) {
     auto query =
         bio::random_residues(rng, 40 + rng.next_below(80), bio::Alphabet::kProtein);
@@ -173,6 +190,64 @@ TEST(SimdBatchAlign, GlobalScoresStraddleLowerRail) {
   }
 }
 
+// Lanes are packed longest first, so in a 32-subject batch the 16 longer
+// fillers take lanes 0-15 and the rail-straddling subjects lanes 16-31:
+// the upper half of the 32-lane live mask and of the railed bitmask.
+std::vector<std::string> upper_half_batch(std::vector<std::string> fillers,
+                                          std::vector<std::string> straddlers) {
+  EXPECT_EQ(fillers.size(), 16u);
+  EXPECT_EQ(straddlers.size(), 16u);
+  for (const auto& f : fillers) {
+    for (const auto& s : straddlers) EXPECT_GT(f.size(), s.size());
+  }
+  // Interleave so lane order comes from the packing, not input order.
+  std::vector<std::string> db;
+  for (std::size_t i = 0; i < 16; ++i) {
+    db.push_back(std::move(straddlers[i]));
+    db.push_back(std::move(fillers[i]));
+  }
+  return db;
+}
+
+TEST(SimdBatchAlign, LocalSaturationInUpperSixteenLanes) {
+  // Same scheme as LocalSaturationStraddlesUpperRail: all-A subjects of
+  // length >= 320 saturate. Fillers are random DNA longer than any of
+  // them, scoring far below the rail.
+  auto scheme = bio::ScoringScheme::dna(100, -4, 10, 1);
+  Rng rng(43);
+  std::string query(340, 'A');
+  std::vector<std::string> fillers, straddlers;
+  for (std::size_t i = 0; i < 16; ++i) {
+    fillers.push_back(bio::random_residues(rng, 400 + i, bio::Alphabet::kDna));
+    straddlers.push_back(std::string(304 + 2 * i, 'A'));  // 304 .. 334
+  }
+  std::uint64_t saturations = 0;
+  expect_all_tiers_match(query, upper_half_batch(fillers, straddlers), scheme,
+                         &saturations);
+  if (simd_tier_detected() != SimdTier::kScalar) {
+    EXPECT_GT(saturations, 0u);
+  }
+}
+
+TEST(SimdBatchAlign, GlobalLowerRailInUpperSixteenLanes) {
+  // Same scheme as GlobalScoresStraddleLowerRail: all-C subjects of
+  // length ~114 and up cross kFloor16 against an all-A query. Fillers are
+  // all-A and a little longer than the query, so they never rail.
+  auto scheme = bio::ScoringScheme::dna(2, -400, 10, 70);
+  std::string query(130, 'A');
+  std::vector<std::string> fillers, straddlers;
+  for (std::size_t i = 0; i < 16; ++i) {
+    fillers.push_back(std::string(140 + i, 'A'));
+    straddlers.push_back(std::string(100 + 2 * i, 'C'));  // 100 .. 130
+  }
+  std::uint64_t saturations = 0;
+  expect_all_tiers_match(query, upper_half_batch(fillers, straddlers), scheme,
+                         &saturations);
+  if (simd_tier_detected() != SimdTier::kScalar) {
+    EXPECT_GT(saturations, 0u);
+  }
+}
+
 TEST(SimdBatchAlign, HugeGapExtendFailsBoundaryPrecheckSafely) {
   // gap_extend=4000 makes NW/semi-global init cells unrepresentable in
   // int16 for subjects longer than ~2 residues; those lanes must take the
@@ -221,6 +296,13 @@ TEST(SimdPartialsKernel, TiersAgreeBitForBitOnOddCounts) {
       }
     }
   }
+}
+
+TEST(SimdPartialsKernel, Avx512TierRunsTheAvx2Kernel) {
+  // The likelihood partials have no AVX-512 form: the avx512 tier must
+  // run exactly the AVX2 kernel, so its log-likelihoods cannot move.
+  EXPECT_EQ(phylo::partials_combine_for(SimdTier::kAvx512),
+            phylo::partials_combine_for(SimdTier::kAvx2));
 }
 
 TEST(SimdLikelihood, LogLikelihoodBitIdenticalAcrossTiers) {
