@@ -10,6 +10,9 @@
 //              [--max-connect-attempts 8] [--backoff-initial 0.05]
 //              [--backoff-max 2] [--servers 10.0.0.1:4090,10.0.0.2:4090]
 //
+// Every flag takes a value; a flag without one, or one not listed here,
+// is an error.
+//
 // --servers A:P,B:P
 //                 ordered failover list (supersedes --host/--port): the
 //                 donor sticks with the endpoint that last answered and
@@ -38,11 +41,6 @@
 //                 re-downloading blobs it already has. Empty = memory only.
 // --cache-mb N / --cache-disk-mb N
 //                 memory / disk budgets for that cache (default 64 / 256).
-// --protocol V    speak protocol version V (3..7); 3 disables the
-//                 blob cache path for servers predating the v4 data
-//                 plane; 4 omits the v5 span-profile trailer; 5 omits
-//                 the v6 epoch echo (its results cannot be fenced after
-//                 a failover).
 // --corrupt-rate P [--corrupt-seed N]
 //                 fault injection (test-only): corrupt fraction P of
 //                 result payloads before submitting — a "lying donor"
@@ -53,6 +51,7 @@
 
 #include <cstdio>
 #include <map>
+#include <set>
 
 #include "dboot/dboot.hpp"
 #include "dist/client.hpp"
@@ -63,13 +62,23 @@
 
 using namespace hdcs;
 
+namespace {
+// The flags the usage text lists; anything else is rejected.
+const std::set<std::string> kFlags = {
+    "host", "port", "name", "servers", "persist", "throttle", "cpus",
+    "threads", "max-connect-attempts", "backoff-initial", "backoff-max",
+    "cache-dir", "cache-mb", "cache-disk-mb", "corrupt-rate", "corrupt-seed"};
+}  // namespace
+
 int main(int argc, char** argv) {
   try {
     std::map<std::string, std::string> args;
-    for (int i = 1; i + 1 < argc; i += 2) {
+    for (int i = 1; i < argc; ++i) {
       std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) throw InputError("expected --flag: " + key);
-      args[key.substr(2)] = argv[i + 1];
+      if (key.rfind("--", 0) != 0) throw InputError("expected --flag, got: " + key);
+      if (!kFlags.contains(key.substr(2))) throw InputError("unknown flag " + key);
+      if (i + 1 >= argc) throw InputError("missing value for " + key);
+      args[key.substr(2)] = argv[++i];
     }
     auto get = [&](const std::string& key, const std::string& def) {
       auto it = args.find(key);
@@ -122,10 +131,6 @@ int main(int argc, char** argv) {
     cfg.blob_cache_disk_bytes =
         static_cast<std::size_t>(parse_i64(get("cache-disk-mb", "256"))) * 1024 *
         1024;
-    auto protocol = parse_i64(get("protocol", "7"));
-    if (protocol < net::kMinProtocolVersion || protocol > net::kProtocolVersion)
-      throw InputError("--protocol must be 3..7");
-    cfg.protocol_version = static_cast<int>(protocol);
 
     int cpus = static_cast<int>(parse_i64(get("cpus", "1")));
 
@@ -156,7 +161,8 @@ int main(int argc, char** argv) {
                  "[--persist true|false] [--throttle x] [--cpus n] "
                  "[--threads n] [--max-connect-attempts n] "
                  "[--backoff-initial s] [--backoff-max s] [--cache-dir d] "
-                 "[--cache-mb n] [--cache-disk-mb n] [--protocol 3..7]\n");
+                 "[--cache-mb n] [--cache-disk-mb n] "
+                 "[--corrupt-rate p] [--corrupt-seed n]\n");
     return 1;
   }
 }

@@ -43,7 +43,7 @@
 // a supervisor) restarts onto healthy storage. --wal-budget-mb caps the
 // WAL directory (forced compaction sheds folded segments before ENOSPC);
 // --max-clients and --blob-budget-mb shed load with RetryLater NACKs that
-// v7 donors honour with backoff. See docs/ROBUSTNESS.md.
+// donors honour with backoff. See docs/ROBUSTNESS.md.
 //
 // --replicas K enables result certification: every unit is computed by K
 // distinct donors and merged only when --quorum digests agree (default:

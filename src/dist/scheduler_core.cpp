@@ -11,7 +11,7 @@
 namespace hdcs::dist {
 
 namespace {
-/// Fleet-wide per-phase latency histograms, fed from every v5 span profile
+/// Fleet-wide per-phase latency histograms, fed from every donor span profile
 /// the scheduler merges. Process-global registry so the MSG_STATS snapshot
 /// (and hdcs_top's phase-breakdown columns) see them without plumbing.
 struct ProfileHistograms {
@@ -61,7 +61,7 @@ ProblemId SchedulerCore::submit_problem(std::shared_ptr<DataManager> dm) {
   ProblemId id = next_problem_id_++;
   ProblemState ps;
   ps.dm = std::move(dm);
-  // Intern the problem data as a pinned blob: v4 donors address it by
+  // Intern the problem data as a pinned blob: donors address it by
   // digest like any other blob, and the serving path never re-encodes it.
   auto data = ps.dm->problem_data();
   ps.data_bytes = data.size();
@@ -397,7 +397,7 @@ std::optional<WorkUnit> SchedulerCore::serve_queued(ProblemId pid,
       }
     }
     WorkUnit unit = us.unit;
-    unit.epoch = epoch_;  // lease carries the current term (v6 fencing)
+    unit.epoch = epoch_;  // lease carries the current term (epoch fencing)
     apply_replication_policy(pid, ps, us, cs, now);
     return unit;
   }
@@ -554,11 +554,12 @@ bool SchedulerCore::submit_result(ClientId client, const ResultUnit& result,
     return false;
   }
 
-  // Epoch fence (protocol v6): a lease stamped with an older term was
-  // issued by a server incarnation this core has superseded — a deposed
-  // primary, or a pre-recovery life whose unsynced tail may have reused
-  // ids. Its results must never merge. Epoch 0 is a legacy (pre-v6)
-  // donor: no fence, the kRestoreIdGap machinery still protects it.
+  // Epoch fence: a lease stamped with an older term was issued by a
+  // server incarnation this core has superseded — a deposed primary, or a
+  // pre-recovery life whose unsynced tail may have reused ids. Its results
+  // must never merge. Epoch 0 comes only from in-process callers
+  // (LocalRunner, tests) — decode_submit_result rejects it on the wire —
+  // and is not fenced; the kRestoreIdGap machinery still protects it.
   if (result.epoch != 0 && result.epoch != epoch_) {
     stats_.results_rejected_stale_epoch += 1;
     LOG_WARN("result from client " << client << " (" << voter
@@ -670,7 +671,7 @@ bool SchedulerCore::submit_result(ClientId client, const ResultUnit& result,
     break;
   }
 
-  // v5 donors ship a span profile with the result. Merge it with the lease
+  // Donors ship a span profile with the result. Merge it with the lease
   // timeline: the donor measured durations only (no clock sync), so the
   // scheduler derives the submit/server-side residual as elapsed minus the
   // donor's spans (clamped — the donor's queue_wait starts slightly before

@@ -173,7 +173,7 @@ class SchedulerCore {
   [[nodiscard]] const DataManager& data_manager(ProblemId id) const;
   [[nodiscard]] std::vector<ProblemId> active_problems() const;
 
-  // ---- content-addressed blob store (protocol v4 bulk-data plane) ----
+  // ---- content-addressed blob store (bulk-data plane) ----
   //
   // submit_problem() interns the problem data as a pinned blob;
   // request_work() interns every blob a DataManager attaches to a fresh

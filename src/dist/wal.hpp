@@ -24,7 +24,7 @@
 // last valid record — a kill -9 mid-write must surface as a shorter log,
 // never a crash or garbage replay.
 //
-// The same log doubles as the protocol v6 replication stream's storage on
+// The same log doubles as the replication stream's storage on
 // a hot standby: the primary ships its snapshot (the standby compact()s it
 // in) followed by live records (the standby append()s them with the
 // primary's lsn), so after promotion the standby's directory is a valid
@@ -74,7 +74,7 @@ struct WalRecord {
 };
 
 /// Record payload codec (lsn + op + body, no disk framing). The disk
-/// frames add length + CRC; the v6 replication stream ships these payloads
+/// frames add length + CRC; the replication stream ships these payloads
 /// inside its own CRC'd message frames.
 std::vector<std::byte> encode_wal_record(const WalRecord& rec);
 WalRecord decode_wal_record(std::span<const std::byte> payload);

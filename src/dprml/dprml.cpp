@@ -128,14 +128,6 @@ void encode_init_unit(ByteWriter& w, const std::vector<std::string>& taxa) {
   w.str_vec(taxa);
 }
 
-void encode_eval_unit(ByteWriter& w, const EvalUnitPayload& p) {
-  w.u8(static_cast<std::uint8_t>(UnitKind::kEval));
-  w.str(p.tree_newick);
-  w.str(p.taxon);
-  w.u32(static_cast<std::uint32_t>(p.edge_nodes.size()));
-  for (int e : p.edge_nodes) w.i32(e);
-}
-
 void encode_refine_unit(ByteWriter& w, const std::string& newick, bool full,
                         const std::string& focus_taxon) {
   w.u8(static_cast<std::uint8_t>(UnitKind::kRefine));
@@ -571,18 +563,14 @@ void DPRmlAlgorithm::initialize(std::span<const std::byte> problem_data) {
 
 namespace {
 
-/// The shared tree of a kEvalShared/kNniEvalShared unit: blobs[0] on a v4
-/// donor, or the bytes the server appended to the payload when flattening
-/// for a v3 donor. Either way the Newick occupies the tail of the decoded
-/// stream, so both paths read identical bytes.
-std::string shared_tree_newick(const dist::WorkUnit& unit, ByteReader& r) {
-  if (!unit.blobs.empty()) {
-    r.expect_end();
-    const auto& b = unit.blobs.front().bytes;
-    return std::string(reinterpret_cast<const char*>(b.data()), b.size());
+/// The shared tree of a kEvalShared/kNniEvalShared unit: the Newick in
+/// blobs[0]. A unit without it is malformed.
+std::string shared_tree_newick(const dist::WorkUnit& unit) {
+  if (unit.blobs.empty()) {
+    throw ProtocolError("DPRml: shared-tree unit without its tree blob");
   }
-  auto rest = r.raw(r.remaining());
-  return std::string(reinterpret_cast<const char*>(rest.data()), rest.size());
+  const auto& b = unit.blobs.front().bytes;
+  return std::string(reinterpret_cast<const char*>(b.data()), b.size());
 }
 
 }  // namespace
@@ -591,9 +579,7 @@ std::vector<std::byte> DPRmlAlgorithm::process(const dist::WorkUnit& unit) {
   if (!engine_) throw Error("DPRmlAlgorithm: process before initialize");
   ByteReader r(unit.payload);
   auto kind = static_cast<UnitKind>(r.u8());
-  // Shared-tree units answer with the legacy kind byte, so the
-  // DataManager's merge path (and result dedup across mixed v3/v4 donor
-  // fleets) never sees the transport difference.
+  // Shared-tree units answer with the plain kEval/kNniEval result kind.
   UnitKind result_kind = kind;
   if (kind == UnitKind::kEvalShared) result_kind = UnitKind::kEval;
   if (kind == UnitKind::kNniEvalShared) result_kind = UnitKind::kNniEval;
@@ -614,25 +600,13 @@ std::vector<std::byte> DPRmlAlgorithm::process(const dist::WorkUnit& unit) {
       out.f64(logl);
       break;
     }
-    case UnitKind::kEval:
     case UnitKind::kEvalShared: {
-      std::string newick, taxon;
-      std::uint32_t n = 0;
-      std::vector<int> edges;
-      if (kind == UnitKind::kEval) {
-        newick = r.str();
-        taxon = r.str();
-        n = r.u32();
-        edges.resize(n);
-        for (auto& e : edges) e = r.i32();
-        r.expect_end();
-      } else {
-        taxon = r.str();
-        n = r.u32();
-        edges.resize(n);
-        for (auto& e : edges) e = r.i32();
-        newick = shared_tree_newick(unit, r);
-      }
+      std::string taxon = r.str();
+      std::uint32_t n = r.u32();
+      std::vector<int> edges(n);
+      for (auto& e : edges) e = r.i32();
+      r.expect_end();
+      std::string newick = shared_tree_newick(unit);
 
       out.u32(n);
       auto emit = [&out](int edge, const CachedEval& e) {
@@ -668,29 +642,15 @@ std::vector<std::byte> DPRmlAlgorithm::process(const dist::WorkUnit& unit) {
       }
       break;
     }
-    case UnitKind::kNniEval:
     case UnitKind::kNniEvalShared: {
-      std::string newick;
-      std::uint32_t n = 0;
-      std::vector<NniCandidate> cands;
-      if (kind == UnitKind::kNniEval) {
-        newick = r.str();
-        n = r.u32();
-        cands.resize(n);
-        for (auto& c : cands) {
-          c.edge_node = r.i32();
-          c.variant = r.u8();
-        }
-        r.expect_end();
-      } else {
-        n = r.u32();
-        cands.resize(n);
-        for (auto& c : cands) {
-          c.edge_node = r.i32();
-          c.variant = r.u8();
-        }
-        newick = shared_tree_newick(unit, r);
+      std::uint32_t n = r.u32();
+      std::vector<NniCandidate> cands(n);
+      for (auto& c : cands) {
+        c.edge_node = r.i32();
+        c.variant = r.u8();
       }
+      r.expect_end();
+      std::string newick = shared_tree_newick(unit);
 
       out.u32(n);
       for (const auto& c : cands) {
@@ -758,7 +718,7 @@ std::vector<std::byte> DPRmlAlgorithm::process(const dist::WorkUnit& unit) {
       out.f64(logl);
       break;
     }
-    default:
+    default:  // including kEval/kNniEval, which only name results
       throw ProtocolError("DPRml: unknown unit kind");
   }
   return out.take();

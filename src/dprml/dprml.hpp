@@ -181,28 +181,20 @@ void register_algorithm();
 // ---- unit payload kinds (exposed for tests) ----
 enum class UnitKind : std::uint8_t {
   kInit = 0,
+  /// Result kinds of kEvalShared/kNniEvalShared units; a unit carrying
+  /// either byte is rejected.
   kEval = 1,
   kRefine = 2,
   kNniEval = 3,
-  /// Blob-backed eval/NNI variants (protocol v4 data plane): the fixed
-  /// fields stay in the payload and the shared tree Newick rides in
-  /// blobs[0] — every batch of the same stage references one interned
-  /// blob, so a donor downloads the tree once per stage instead of once
-  /// per unit. The tree bytes sit at the *end*, so a v3 donor that
-  /// receives the server-flattened payload (blob appended) decodes the
-  /// identical bytes. Results are reported with the legacy kind byte.
+  /// Eval/NNI units: the fixed fields stay in the payload and the shared
+  /// tree Newick rides in blobs[0] — every batch of the same stage
+  /// references one interned blob, so a donor downloads the tree once per
+  /// stage instead of once per unit.
   kEvalShared = 4,
   kNniEvalShared = 5,
 };
 
-struct EvalUnitPayload {
-  std::string tree_newick;
-  std::string taxon;
-  std::vector<int> edge_nodes;
-};
-
 void encode_init_unit(ByteWriter& w, const std::vector<std::string>& taxa);
-void encode_eval_unit(ByteWriter& w, const EvalUnitPayload& p);
 /// full=false: local smoothing around `focus_taxon` (the just-inserted leaf).
 void encode_refine_unit(ByteWriter& w, const std::string& newick, bool full,
                         const std::string& focus_taxon);

@@ -1,5 +1,5 @@
 #pragma once
-// Donor-side content-addressed blob cache (protocol v4 bulk-data plane).
+// Donor-side content-addressed blob cache (bulk-data plane).
 //
 // Blobs are immutable byte strings addressed by a 64-bit FNV-1a digest of
 // their content. A donor keeps every blob it has downloaded in a bounded

@@ -4,7 +4,7 @@
 // "Data files, which may be large, are transmitted using ordinary sockets,
 // which is more efficient than RMI" (paper §2.2). Control frames are capped
 // at kMaxPayload; anything bigger — a FASTA database, an alignment — moves
-// through this chunked transfer with a leading u64 length and a trailing
+// through this chunked transfer, whose header carries the raw length and a
 // CRC32 so truncation or corruption is detected rather than silently merged.
 
 #include <cstdint>
@@ -25,18 +25,6 @@ inline constexpr std::size_t kDefaultMaxBlobBytes = 256ull * 1024 * 1024;
 /// CRC-32 (IEEE, reflected) of a byte span.
 std::uint32_t crc32(std::span<const std::byte> data);
 
-/// Send length + chunks + CRC.
-void send_blob(TcpStream& stream, std::span<const std::byte> data);
-
-/// Serialize a v3 blob (length + CRC header, then the body) to bytes for a
-/// non-blocking write queue. Same wire bytes and counters as send_blob.
-std::vector<std::byte> encode_blob(std::span<const std::byte> data);
-
-/// Receive a blob; throws ProtocolError on CRC mismatch, IoError on size
-/// above max_bytes (guards against a corrupt length header allocating GBs).
-std::vector<std::byte> recv_blob(TcpStream& stream,
-                                 std::size_t max_bytes = kDefaultMaxBlobBytes);
-
 /// What send_blob_v4 put on the wire (for byte accounting and trace events).
 struct BlobWireInfo {
   std::uint64_t raw_bytes = 0;
@@ -44,7 +32,7 @@ struct BlobWireInfo {
   bool compressed = false;
 };
 
-/// Protocol-v4 blob transfer with transparent compression:
+/// Blob transfer with transparent compression:
 ///
 ///   u64 raw_size | u32 crc32(raw) | u8 flags | u64 wire_size | body chunks
 ///
@@ -54,7 +42,7 @@ struct BlobWireInfo {
 /// decompression, so corruption anywhere surfaces as ProtocolError.
 BlobWireInfo send_blob_v4(TcpStream& stream, std::span<const std::byte> data);
 
-/// Serialize a v4 blob (header + possibly-compressed body) to bytes for a
+/// Serialize a blob (header + possibly-compressed body) to bytes for a
 /// non-blocking write queue. Same wire bytes and counters as send_blob_v4.
 struct EncodedBlobV4 {
   std::vector<std::byte> bytes;
@@ -62,7 +50,7 @@ struct EncodedBlobV4 {
 };
 EncodedBlobV4 encode_blob_v4(std::span<const std::byte> data);
 
-/// Receive a v4 blob. Both raw_size and wire_size are bounded by max_bytes
+/// Receive a blob. Both raw_size and wire_size are bounded by max_bytes
 /// before any allocation. When `decompress_s` is non-null, the wall seconds
 /// spent in LZ decompression are *added* to it (span profiling). A
 /// compressed body is read into `wire_scratch` when given, so a caller

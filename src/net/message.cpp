@@ -10,6 +10,16 @@
 namespace hdcs::net {
 
 namespace {
+// Shared by read_message and FrameReader so both reject the same frames
+// with the same text.
+void check_version(std::uint16_t version) {
+  if (version != kProtocolVersion) {
+    throw ProtocolError("unsupported protocol version " + std::to_string(version) +
+                        " (this build speaks " + std::to_string(kProtocolVersion) +
+                        ")");
+  }
+}
+
 // Process-wide wire counters. Looked up once (registry references are
 // stable for its lifetime); updates are single relaxed atomics.
 struct WireMetrics {
@@ -57,7 +67,7 @@ const char* to_string(MessageType type) {
 void write_message(TcpStream& stream, const Message& msg) {
   ByteWriter header(kFrameHeaderBytes);
   header.u32(kMagic);
-  header.u16(msg.version);
+  header.u16(kProtocolVersion);
   header.u16(static_cast<std::uint16_t>(msg.type));
   header.u64(msg.correlation);
   header.u32(static_cast<std::uint32_t>(msg.payload.size()));
@@ -78,12 +88,8 @@ Message read_message(TcpStream& stream) {
     std::snprintf(hex, sizeof(hex), "%08x", magic);
     throw ProtocolError(std::string("bad frame magic 0x") + hex);
   }
-  std::uint16_t version = header.u16();
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
-    throw ProtocolError("unsupported protocol version " + std::to_string(version));
-  }
+  check_version(header.u16());
   Message msg;
-  msg.version = version;
   msg.type = static_cast<MessageType>(header.u16());
   msg.correlation = header.u64();
   std::uint32_t len = header.u32();
@@ -109,7 +115,7 @@ Message read_message(TcpStream& stream) {
 std::vector<std::byte> encode_frame(const Message& msg) {
   ByteWriter out(kFrameHeaderBytes + msg.payload.size());
   out.u32(kMagic);
-  out.u16(msg.version);
+  out.u16(kProtocolVersion);
   out.u16(static_cast<std::uint16_t>(msg.type));
   out.u64(msg.correlation);
   out.u32(static_cast<std::uint32_t>(msg.payload.size()));
@@ -139,13 +145,8 @@ void FrameReader::feed(std::span<const std::byte> data,
         std::snprintf(hex, sizeof(hex), "%08x", magic);
         throw ProtocolError(std::string("bad frame magic 0x") + hex);
       }
-      std::uint16_t version = header.u16();
-      if (version < kMinProtocolVersion || version > kProtocolVersion) {
-        throw ProtocolError("unsupported protocol version " +
-                            std::to_string(version));
-      }
+      check_version(header.u16());
       msg_ = Message{};
-      msg_.version = version;
       msg_.type = static_cast<MessageType>(header.u16());
       msg_.correlation = header.u64();
       std::uint32_t len = header.u32();

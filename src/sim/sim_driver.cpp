@@ -26,7 +26,7 @@ std::uint64_t fnv64(std::span<const std::byte> data) {
 
 constexpr double kControlBytes = 32;  // request/ack payloads are tiny
 
-// Fixed per-blob framing of the v4 bulk format (raw size + CRC + flags +
+// Fixed per-blob framing of the bulk format (raw size + CRC + flags +
 // wire size + header CRC), mirrored from net::send_blob_v4 for virtual
 // byte accounting.
 constexpr double kBlobV4HeaderBytes = 8 + 4 + 1 + 8 + 4;
@@ -430,7 +430,7 @@ void SimDriver::machine_request_work(std::size_t idx, int gen) {
     double duration = wall_time_for_compute(mm, compute_s);
     double finish = unit_arrival + duration;
 
-    // Mirror of the v5 donor span profile, in virtual time. Phases tile
+    // Mirror of the donor span profile, in virtual time. Phases tile
     // the lease exactly: blob_fetch + queue_wait + compute == finish -
     // lease_start, so the scheduler-derived submit residual equals the
     // result's return trip with no clamp — components sum to elapsed_s
@@ -451,7 +451,7 @@ void SimDriver::machine_request_work(std::size_t idx, int gen) {
       result.problem_id = u.problem_id;
       result.unit_id = u.unit_id;
       result.stage = u.stage;
-      // Echo the lease's term (v6 fencing): if a standby promoted while
+      // Echo the lease's term (epoch fencing): if a standby promoted while
       // this unit computed, the stale epoch gets the result rejected.
       result.epoch = u.epoch;
       auto& saturation_counter =

@@ -211,7 +211,7 @@ class SimDriver {
   double wall_time_for_compute(Machine& m, double compute_s);
   double server_handle(double arrival, double payload_bytes);  // server CPU FIFO
   std::vector<std::byte> execute_unit(const dist::WorkUnit& unit);
-  /// Wire bytes a v4 transfer of this blob would cost (header + compressed
+  /// Wire bytes a bulk transfer of this blob would cost (header + compressed
   /// body, memoised per digest — blobs are immutable).
   double blob_wire_bytes(std::uint64_t digest, std::span<const std::byte> bytes);
   /// Deliver one blob to machine `m` unless it already holds the digest.

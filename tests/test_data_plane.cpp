@@ -1,5 +1,5 @@
-// The content-addressed bulk-data plane: LZ codec, donor blob cache,
-// protocol-v4 blob transfer, v3 flattening compatibility, and the headline
+// The content-addressed bulk-data plane: LZ codec, donor blob cache, blob
+// transfer, algorithms that refuse a unit missing its blob, and the headline
 // dedup property — a database chunk crosses the wire to a given donor at
 // most once, even under replication and across server restarts.
 
@@ -7,13 +7,10 @@
 
 #include <unistd.h>
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <mutex>
 #include <thread>
 
 #include "bio/seqgen.hpp"
@@ -313,7 +310,7 @@ TEST(BlobCache, DiskFaultStormNeverServesCorruptBlobs) {
   }
 }
 
-// ----------------------------------------------------- v4 blob transfer --
+// -------------------------------------------------------- blob transfer --
 
 TEST(BulkV4, CompressedRoundTripReportsWireSavings) {
   Pair p;
@@ -409,7 +406,7 @@ TEST(BulkV4, TruncatedSendSurfacesAsError) {
   sender.join();
 }
 
-// ------------------------------------------------------------ wire v3/v4 --
+// ------------------------------------------------------------------ wire --
 
 TEST(WireV4, WorkAssignmentCarriesBlobRefsNotBytes) {
   dist::WorkUnit unit;
@@ -421,9 +418,7 @@ TEST(WireV4, WorkAssignmentCarriesBlobRefsNotBytes) {
   unit.blobs.push_back(dist::make_work_blob(compressible_blob(10)));
   unit.blobs.push_back(dist::make_work_blob(bytes_of("second blob")));
 
-  auto m = dist::encode_work_assignment(unit, 9, net::kProtocolVersion);
-  EXPECT_EQ(m.version, net::kProtocolVersion);
-  auto back = dist::decode_work_assignment(m);
+  auto back = dist::decode_work_assignment(dist::encode_work_assignment(unit, 9));
   EXPECT_EQ(back.unit_id, unit.unit_id);
   EXPECT_EQ(back.payload, unit.payload);
   ASSERT_EQ(back.blobs.size(), 2u);
@@ -432,25 +427,6 @@ TEST(WireV4, WorkAssignmentCarriesBlobRefsNotBytes) {
     EXPECT_EQ(back.blobs[i].size, unit.blobs[i].size);
     EXPECT_TRUE(back.blobs[i].bytes.empty()) << "refs only on the wire";
   }
-}
-
-TEST(WireV4, V3EncodingOfFlattenedUnitIsLegacyShape) {
-  // What the server sends a v3 donor: blobs flattened onto the payload,
-  // encoded with the legacy (payload-only) codec.
-  dist::WorkUnit unit;
-  unit.problem_id = 1;
-  unit.unit_id = 5;
-  unit.cost_ops = 10;
-  unit.payload = bytes_of("prefix");
-  auto blob = bytes_of("blob-body");
-  dist::WorkUnit flat = unit;
-  flat.payload.insert(flat.payload.end(), blob.begin(), blob.end());
-
-  auto m = dist::encode_work_assignment(flat, 1, /*version=*/3);
-  EXPECT_EQ(m.version, 3);
-  auto back = dist::decode_work_assignment(m);
-  EXPECT_TRUE(back.blobs.empty());
-  EXPECT_EQ(back.payload, flat.payload);
 }
 
 TEST(WireV4, FetchBlobsAndBlobDataRoundTrip) {
@@ -473,59 +449,82 @@ TEST(WireV4, FetchBlobsAndBlobDataRoundTrip) {
   }
 }
 
-// -------------------------------------------- algorithm flatten parity --
+// ------------------------------------------- units without their blob --
 
-TEST(DPRmlDataPlane, SharedTreeUnitDecodesBlobAndFlattenedFormsAlike) {
-  // Drive a whole DPRml build; every blob-bearing unit (shared stage tree)
-  // must produce byte-identical results whether the tree arrives as
-  // blobs[0] (v4 donors) or flattened onto the payload (v3 donors).
+/// A DPRml algorithm initialised on a small simulated alignment.
+dprml::DPRmlAlgorithm small_dprml_algorithm() {
   Rng rng(31);
   auto tree = phylo::random_tree(rng, {6, 0.12, "t"});
   auto aln = phylo::simulate_alignment(rng, tree, phylo::SubstModel::jc69(),
                                        phylo::RateModel::uniform(), {200});
   dprml::DPRmlConfig config;
   config.model_spec = "JC69";
-  config.branch_tolerance = 1e-3;
-  config.eval_passes = 1;
-  config.refine_passes = 1;
-  config.use_eval_cache = false;
-
   dprml::DPRmlDataManager dm(aln, config);
   dprml::DPRmlAlgorithm algo;
   algo.initialize(dm.problem_data());
-
-  dist::SizeHint hint;
-  hint.target_ops = 1e18;  // one unit per stage batch keeps the loop short
-  int blob_units = 0;
-  int spins = 0;
-  while (!dm.is_complete()) {
-    auto unit = dm.next_unit(hint);
-    if (!unit) {
-      ASSERT_LT(++spins, 100000) << "data manager stalled";
-      continue;
-    }
-    auto blob_form = algo.process(*unit);
-    if (!unit->blobs.empty()) {
-      ++blob_units;
-      dist::WorkUnit flat = *unit;
-      for (const auto& b : flat.blobs) {
-        flat.payload.insert(flat.payload.end(), b.bytes.begin(),
-                            b.bytes.end());
-      }
-      flat.blobs.clear();
-      EXPECT_EQ(algo.process(flat), blob_form) << "unit " << unit->unit_id;
-    }
-    dist::ResultUnit r;
-    r.problem_id = unit->problem_id;
-    r.unit_id = unit->unit_id;
-    r.stage = unit->stage;
-    r.payload = std::move(blob_form);
-    dm.accept_result(r);
-  }
-  EXPECT_GT(blob_units, 0) << "no shared-tree units exercised";
+  return algo;
 }
 
-// --------------------------------------------------- TCP compatibility --
+TEST(DSearchDataPlane, UnitWithoutChunkBlobRejected) {
+  // The chunk's bytes in the payload instead of blobs[0]: refused, never
+  // misread as an empty or garbled chunk.
+  Rng rng(7);
+  auto queries = bio::make_queries(rng, 1, 40, bio::Alphabet::kProtein);
+  bio::DatabaseSpec spec;
+  spec.num_sequences = 8;
+  spec.mean_length = 50;
+  auto database = bio::make_database(rng, spec, queries);
+  dsearch::DSearchDataManager dm(queries, database, dsearch::DSearchConfig{});
+  dsearch::DSearchAlgorithm algo;
+  algo.initialize(dm.problem_data());
+
+  dist::SizeHint hint;
+  hint.target_ops = 1e18;
+  auto unit = dm.next_unit(hint);
+  ASSERT_TRUE(unit);
+  ASSERT_EQ(unit->blobs.size(), 1u);
+  EXPECT_FALSE(algo.process(*unit).empty());  // the well-formed unit works
+  unit->payload = unit->blobs.front().bytes;
+  unit->blobs.clear();
+  EXPECT_THROW(algo.process(*unit), ProtocolError);
+}
+
+TEST(DPRmlDataPlane, SharedTreeUnitWithoutBlobRejected) {
+  auto algo = small_dprml_algorithm();
+  dist::WorkUnit eval;
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(dprml::UnitKind::kEvalShared));
+  w.str("t0");
+  w.u32(0);
+  eval.payload = w.take();
+  EXPECT_THROW(algo.process(eval), ProtocolError);
+
+  dist::WorkUnit nni;
+  ByteWriter n;
+  n.u8(static_cast<std::uint8_t>(dprml::UnitKind::kNniEvalShared));
+  n.u32(0);
+  nni.payload = n.take();
+  EXPECT_THROW(algo.process(nni), ProtocolError);
+}
+
+TEST(DPRmlDataPlane, InlineEvalUnitRejected) {
+  // kEval/kNniEval name results only; a unit carrying either kind byte
+  // with its tree inline is refused.
+  auto algo = small_dprml_algorithm();
+  for (auto kind : {dprml::UnitKind::kEval, dprml::UnitKind::kNniEval}) {
+    dist::WorkUnit unit;
+    ByteWriter w;
+    w.u8(static_cast<std::uint8_t>(kind));
+    w.str("((t0:0.1,t1:0.1):0.1,t2:0.1);");
+    if (kind == dprml::UnitKind::kEval) w.str("t3");
+    w.u32(0);
+    unit.payload = w.take();
+    EXPECT_THROW(algo.process(unit), ProtocolError)
+        << "kind " << static_cast<int>(kind);
+  }
+}
+
+// ------------------------------------------------------------------- TCP --
 
 struct DSearchCase {
   std::vector<bio::Sequence> queries;
@@ -564,100 +563,10 @@ dist::ClientConfig donor_config(std::uint16_t port, const std::string& name) {
   return cfg;
 }
 
-TEST(DataPlaneTcp, V3DonorCompletesBlobBackedProblem) {
-  auto c = dsearch_case(311);
-  auto serial = dsearch::search_serial(c.queries, c.database, c.config);
-
-  dist::Server server(dsearch_server_config());
-  server.start();
-  auto dm = std::make_shared<dsearch::DSearchDataManager>(c.queries,
-                                                          c.database, c.config);
-  auto pid = server.submit_problem(dm);
-
-  auto cfg = donor_config(server.port(), "legacy-donor");
-  cfg.protocol_version = 3;  // speaks the pre-blob protocol end to end
-  dist::Client donor(cfg);
-  auto stats = donor.run();
-
-  ASSERT_TRUE(server.wait_for_problem(pid, 30.0));
-  EXPECT_GT(stats.units_processed, 0u);
-  EXPECT_EQ(dm->result(), serial);
-  server.stop();
-}
-
-TEST(DataPlaneTcp, MixedV3AndV4DonorsAgree) {
-  auto c = dsearch_case(313);
-  auto serial = dsearch::search_serial(c.queries, c.database, c.config);
-
-  dist::Server server(dsearch_server_config());
-  server.start();
-  auto dm = std::make_shared<dsearch::DSearchDataManager>(c.queries,
-                                                          c.database, c.config);
-  auto pid = server.submit_problem(dm);
-
-  auto legacy_cfg = donor_config(server.port(), "v3-donor");
-  legacy_cfg.protocol_version = 3;
-  std::thread legacy([&] { dist::Client(legacy_cfg).run(); });
-  std::thread modern(
-      [&] { dist::Client(donor_config(server.port(), "v4-donor")).run(); });
-  legacy.join();
-  modern.join();
-
-  ASSERT_TRUE(server.wait_for_problem(pid, 30.0));
-  EXPECT_EQ(dm->result(), serial);
-  server.stop();
-}
-
-/// Holds each donor's first unit until `donors` donors are all inside
-/// their first unit. With max_outstanding_per_client = 1 a waiting donor
-/// can take no second lease, so the first leases go one per donor and
-/// every donor completes at least one unit, however the threads race.
-class FirstUnitGate {
- public:
-  explicit FirstUnitGate(int donors) : donors_(donors) {}
-  void arrive() {
-    std::unique_lock lock(mu_);
-    arrived_ += 1;
-    cv_.notify_all();
-    // The timeout only bounds a broken run; the test's expectations then
-    // report what went wrong.
-    cv_.wait_for(lock, std::chrono::seconds(30),
-                 [&] { return arrived_ >= donors_; });
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  const int donors_;
-  int arrived_ = 0;
-};
-
-class GatedDSearch final : public dist::Algorithm {
- public:
-  explicit GatedDSearch(FirstUnitGate& gate) : gate_(gate) {}
-  void initialize(std::span<const std::byte> problem_data) override {
-    inner_.initialize(problem_data);
-  }
-  std::vector<std::byte> process(const dist::WorkUnit& unit) override {
-    if (first_) {
-      first_ = false;
-      gate_.arrive();
-    }
-    return inner_.process(unit);
-  }
-
- private:
-  FirstUnitGate& gate_;
-  dsearch::DSearchAlgorithm inner_;
-  bool first_ = true;
-};
-
-TEST(DataPlaneTcp, MixedFleetProfilesComeOnlyFromV5Donors) {
-  // v3 + v4 + v5 donors against one server: the merged result is
-  // byte-identical to the serial reference, and every span profile the
-  // trace records came from the v5 donor — exactly one per completion it
-  // contributed, none from the legacy donors. Every donor completes at
-  // least one unit (FirstUnitGate), so the v5 donor is never starved.
+TEST(DataPlaneTcp, EveryDonorProfilesEachUnitItCompletes) {
+  // Three donors against one server: the merged result is byte-identical
+  // to the serial reference, and each donor's span profiles in the trace
+  // match its completions one for one.
   auto c = dsearch_case(331, 96);
   auto serial = dsearch::search_serial(c.queries, c.database, c.config);
 
@@ -665,30 +574,19 @@ TEST(DataPlaneTcp, MixedFleetProfilesComeOnlyFromV5Donors) {
   tracer.to_memory();
   auto scfg = dsearch_server_config();
   scfg.tracer = &tracer;
-  scfg.scheduler.max_outstanding_per_client = 1;
   dist::Server server(scfg);
   server.start();
   auto dm = std::make_shared<dsearch::DSearchDataManager>(c.queries,
                                                           c.database, c.config);
   auto pid = server.submit_problem(dm);
 
-  FirstUnitGate gate(3);
-  dist::AlgorithmRegistry gated;
-  gated.register_algorithm(dsearch::kAlgorithmName, [&] {
-    return std::make_unique<GatedDSearch>(gate);
-  });
-  auto v3_cfg = donor_config(server.port(), "v3-donor");
-  v3_cfg.protocol_version = 3;
-  auto v4_cfg = donor_config(server.port(), "v4-donor");
-  v4_cfg.protocol_version = 4;
-  auto v5_cfg = donor_config(server.port(), "v5-donor");  // default: v5
-  for (auto* cfg : {&v3_cfg, &v4_cfg, &v5_cfg}) cfg->registry = &gated;
-  std::thread t3([&] { dist::Client(v3_cfg).run(); });
-  std::thread t4([&] { dist::Client(v4_cfg).run(); });
-  std::thread t5([&] { dist::Client(v5_cfg).run(); });
-  t3.join();
-  t4.join();
-  t5.join();
+  const char* kNames[] = {"donor-a", "donor-b", "donor-c"};
+  std::vector<std::thread> donors;
+  for (const char* name : kNames) {
+    donors.emplace_back(
+        [&, name] { dist::Client(donor_config(server.port(), name)).run(); });
+  }
+  for (auto& t : donors) t.join();
 
   ASSERT_TRUE(server.wait_for_problem(pid, 30.0));
   EXPECT_EQ(dm->result(), serial);
@@ -696,7 +594,7 @@ TEST(DataPlaneTcp, MixedFleetProfilesComeOnlyFromV5Donors) {
 
   std::map<std::uint64_t, std::string> names;  // client id -> donor name
   std::map<std::string, std::uint64_t> completed;
-  std::uint64_t profiles = 0;
+  std::map<std::string, std::uint64_t> profiles;
   for (const auto& line : tracer.lines()) {
     auto rec = obs::parse_trace_line(line);
     auto client = [&] {
@@ -707,16 +605,16 @@ TEST(DataPlaneTcp, MixedFleetProfilesComeOnlyFromV5Donors) {
     } else if (rec.ev == "unit_completed") {
       completed[names[client()]] += 1;
     } else if (rec.ev == "unit_profile") {
-      profiles += 1;
-      EXPECT_EQ(names[client()], "v5-donor")
-          << "span profile attributed to a legacy donor";
+      profiles[names[client()]] += 1;
       EXPECT_GE(rec.number("submit_s"), 0.0);
     }
   }
-  EXPECT_EQ(profiles, completed["v5-donor"]);
-  for (const char* name : {"v3-donor", "v4-donor", "v5-donor"}) {
-    EXPECT_GT(completed[name], 0u) << name << " never completed a unit";
+  std::uint64_t total = 0;
+  for (const char* name : kNames) {
+    EXPECT_EQ(profiles[name], completed[name]) << name;
+    total += completed[name];
   }
+  EXPECT_GT(total, 0u);
 }
 
 // ------------------------------------------------------- dedup headline --

@@ -98,7 +98,7 @@ TEST(Message, EmptyPayloadOk) {
 
 TEST(Message, BadMagicThrowsProtocolError) {
   Pair p;
-  // A full v2 header's worth of garbage (24 bytes): read_message must
+  // A full header's worth of garbage (24 bytes): read_message must
   // reject it on the magic, not block waiting for more header.
   std::vector<std::byte> garbage(kFrameHeaderBytes, std::byte{0x5a});
   p.client.send_all(garbage);
@@ -114,7 +114,7 @@ TEST(Message, BadMagicThrowsProtocolError) {
 
 TEST(Message, CorruptedPayloadFailsFrameCrc) {
   Pair p;
-  // A well-formed v2 frame whose payload CRC doesn't match its payload:
+  // A well-formed frame whose payload CRC doesn't match its payload:
   // corruption is detected at the frame layer, never delivered.
   ByteWriter w;
   std::string body = "payload-bytes";
@@ -179,57 +179,10 @@ TEST(Bulk, Crc32MatchesBytewiseReferenceAtEveryAlignment) {
   EXPECT_EQ(crc32(buf), reference(buf));
 }
 
-TEST(Bulk, RoundTripsLargeBlob) {
-  Pair p;
-  Rng rng(1);
-  std::vector<std::byte> blob(3 * kBulkChunk + 12345);
-  for (auto& b : blob) b = static_cast<std::byte>(rng.next_u64() & 0xff);
-
-  std::thread sender([&] { send_blob(p.client, blob); });
-  auto received = recv_blob(p.server);
-  sender.join();
-  EXPECT_EQ(received, blob);
-}
-
-TEST(Bulk, EmptyBlobOk) {
-  Pair p;
-  std::thread sender([&] { send_blob(p.client, {}); });
-  auto received = recv_blob(p.server);
-  sender.join();
-  EXPECT_TRUE(received.empty());
-}
-
-TEST(Bulk, OversizeBlobRejected) {
-  Pair p;
-  std::vector<std::byte> blob(1024);
-  std::thread sender([&] {
-    try {
-      send_blob(p.client, blob);
-    } catch (const IoError&) {
-      // receiver may close early; ignore
-    }
-  });
-  EXPECT_THROW(recv_blob(p.server, 512), IoError);
-  p.server.close();
-  sender.join();
-}
-
-TEST(Bulk, CorruptedPayloadFailsCrc) {
-  Pair p;
-  // Hand-craft a blob frame with a wrong CRC.
-  ByteWriter header;
-  std::string body = "abcdefgh";
-  header.u64(body.size());
-  header.u32(crc32(as_bytes(body)) ^ 0xffffffffu);
-  p.client.send_all(header.data());
-  p.client.send_all(as_bytes(body));
-  EXPECT_THROW(recv_blob(p.server), ProtocolError);
-}
-
 // ---- FrameReader: the incremental parser must match the blocking path ----
 
-/// One message per type the protocol defines, across every accepted frame
-/// version, with payload sizes from empty through several-KB random bytes.
+/// One message per type the protocol defines, with payload sizes from empty
+/// through several-KB random bytes.
 std::vector<Message> frame_reader_corpus() {
   const MessageType kTypes[] = {
       MessageType::kHello,          MessageType::kRequestWork,
@@ -247,21 +200,17 @@ std::vector<Message> frame_reader_corpus() {
   Rng rng(2024);
   std::vector<Message> corpus;
   std::uint64_t correlation = 1;
-  for (std::uint16_t version = kMinProtocolVersion;
-       version <= kProtocolVersion; ++version) {
-    for (MessageType type : kTypes) {
-      Message m;
-      m.type = type;
-      m.version = version;
-      m.correlation = correlation++;
-      std::size_t len = static_cast<std::size_t>(rng.next_u64() % 4096);
-      if (correlation % 5 == 0) len = 0;  // empty payloads are legal
-      m.payload.resize(len);
-      for (auto& b : m.payload) {
-        b = static_cast<std::byte>(rng.next_u64() & 0xff);
-      }
-      corpus.push_back(std::move(m));
+  for (MessageType type : kTypes) {
+    Message m;
+    m.type = type;
+    m.correlation = correlation++;
+    std::size_t len = static_cast<std::size_t>(rng.next_u64() % 4096);
+    if (correlation % 5 == 0) len = 0;  // empty payloads are legal
+    m.payload.resize(len);
+    for (auto& b : m.payload) {
+      b = static_cast<std::byte>(rng.next_u64() & 0xff);
     }
+    corpus.push_back(std::move(m));
   }
   return corpus;
 }
@@ -280,7 +229,6 @@ void expect_same_messages(const std::vector<Message>& got,
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].type, want[i].type) << "message " << i;
-    EXPECT_EQ(got[i].version, want[i].version) << "message " << i;
     EXPECT_EQ(got[i].correlation, want[i].correlation) << "message " << i;
     EXPECT_EQ(got[i].payload, want[i].payload) << "message " << i;
   }
@@ -288,14 +236,14 @@ void expect_same_messages(const std::vector<Message>& got,
 
 TEST(FrameReader, EncodeFrameMatchesWriteMessageBytes) {
   // encode_frame (event-loop write path) and write_message (blocking path)
-  // must put identical bytes on the wire for every type and version.
+  // must put identical bytes on the wire for every type.
   Pair p;
   for (const auto& m : frame_reader_corpus()) {
     write_message(p.client, m);
     auto encoded = encode_frame(m);
     std::vector<std::byte> sent(encoded.size());
     p.server.recv_all(sent);
-    EXPECT_EQ(sent, encoded) << to_string(m.type) << " v" << m.version;
+    EXPECT_EQ(sent, encoded) << to_string(m.type);
   }
 }
 
@@ -392,6 +340,40 @@ TEST(FrameReader, RejectsBadMagicLikeBlockingPath) {
   } catch (const ProtocolError& e) {
     EXPECT_NE(std::string(e.what()).find("0x5a5a5a5a"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(FrameReader, RejectsOtherVersionsLikeBlockingPath) {
+  // Every retired version and the next one up: both readers reject the
+  // header with the same text, naming the version read and the one spoken.
+  for (std::uint16_t version : {3, 4, 5, 6, 7, 9}) {
+    Message m;
+    m.type = MessageType::kHeartbeat;
+    auto wire = encode_frame(m);
+    wire[4] = static_cast<std::byte>(version & 0xff);  // u16 after the magic
+    wire[5] = static_cast<std::byte>(version >> 8);
+    const std::string want = "unsupported protocol version " +
+                             std::to_string(version) + " (this build speaks " +
+                             std::to_string(kProtocolVersion) + ")";
+
+    FrameReader reader;
+    std::vector<Message> got;
+    try {
+      reader.feed(wire, got);
+      ADD_FAILURE() << "FrameReader accepted version " << version;
+    } catch (const ProtocolError& e) {
+      EXPECT_EQ(std::string(e.what()), want);
+    }
+    EXPECT_TRUE(got.empty());
+
+    Pair p;
+    p.client.send_all(wire);
+    try {
+      read_message(p.server);
+      ADD_FAILURE() << "read_message accepted version " << version;
+    } catch (const ProtocolError& e) {
+      EXPECT_EQ(std::string(e.what()), want);
+    }
   }
 }
 

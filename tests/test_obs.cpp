@@ -276,7 +276,7 @@ TEST(MsgStats, LiveServerServesSnapshot) {
   EXPECT_NE(snap.json.find("\"units_pending\":"), std::string::npos);
   // Histograms export computed quantiles alongside their raw buckets.
   EXPECT_NE(snap.json.find("\"quantiles\":{\"p50\":"), std::string::npos);
-  // A v5 donor completed units, so the per-phase span histograms exist.
+  // A donor completed units, so the per-phase span histograms exist.
   EXPECT_NE(snap.json.find("\"unit.compute_s\":"), std::string::npos);
   EXPECT_NE(snap.json.find("\"unit.submit_s\":"), std::string::npos);
 
@@ -331,7 +331,7 @@ TEST(MsgStats, ServerTraceRecordsFullClientLifecycle) {
 TEST(MsgStats, UnitProfileSharedSchemaAcrossServerAndSim) {
   test::register_toy_algorithm();
 
-  // Real TCP run: one v5 donor against a live server, trace collected.
+  // Real TCP run: one donor against a live server, trace collected.
   obs::Tracer server_tracer;
   server_tracer.to_memory();
   {

@@ -1,5 +1,5 @@
 // Protocol-level robustness: what the server does when peers misbehave
-// (wrong versions, bogus ids, raw garbage) — the connection and the other
+// (wrong versions, bogus ids, epoch-0 results, raw garbage) — the connection and the other
 // clients must survive all of it.
 
 #include <gtest/gtest.h>
@@ -62,21 +62,24 @@ TEST(ProtocolEdges, RequestWorkWithoutHelloGetsErrorFrame) {
 TEST(ProtocolEdges, WrongProtocolVersionRejected) {
   Server server(server_config());
   server.start();
-  auto stream = connect_to(server);
 
-  // Hand-roll a frame with a bad version (full 24-byte v2 header: the
-  // payload_len and payload_crc fields are present but never reached).
-  ByteWriter w;
-  w.u32(net::kMagic);
-  w.u16(net::kProtocolVersion + 1);
-  w.u16(static_cast<std::uint16_t>(net::MessageType::kHello));
-  w.u64(1);
-  w.u32(0);
-  w.u32(0);
-  stream.send_all(w.data());
-  // Server drops the connection (ProtocolError path): our next read EOFs.
-  std::vector<std::byte> buf(1);
-  EXPECT_EQ(stream.recv_some(buf), 0u);
+  // Every retired version and the next one up. Hand-roll each frame (a
+  // full 24-byte header: the payload_len and payload_crc fields are
+  // present but never reached).
+  for (std::uint16_t version : {3, 4, 5, 6, 7, 9}) {
+    auto stream = connect_to(server);
+    ByteWriter w;
+    w.u32(net::kMagic);
+    w.u16(version);
+    w.u16(static_cast<std::uint16_t>(net::MessageType::kHello));
+    w.u64(1);
+    w.u32(0);
+    w.u32(0);
+    stream.send_all(w.data());
+    // Server drops the connection (ProtocolError path): our next read EOFs.
+    std::vector<std::byte> buf(1);
+    EXPECT_EQ(stream.recv_some(buf), 0u) << "version " << version;
+  }
   server.stop();
 }
 
@@ -145,9 +148,44 @@ TEST(ProtocolEdges, SubmitResultForForeignProblemRejectedGracefully) {
   ResultUnit bogus;
   bogus.problem_id = 12345;
   bogus.unit_id = 1;
+  bogus.epoch = 1;  // a well-formed frame, so the foreign id is what fails
   net::write_message(stream, encode_submit_result(ack.client_id, bogus, 2));
   auto reply = decode_result_ack(net::read_message(stream));
   EXPECT_FALSE(reply.accepted);
+  server.stop();
+}
+
+TEST(ProtocolEdges, EpochZeroSubmitResultGetsErrorFrameAndNeverMerges) {
+  Server server(server_config());
+  server.start();
+  auto dm = std::make_shared<ToySumDataManager>(1000);
+  server.submit_problem(dm);
+  auto stream = connect_to(server);
+  net::write_message(stream, encode_hello({"h", 1, 1e6}, 1));
+  auto ack = decode_hello_ack(net::read_message(stream));
+  net::write_message(stream, encode_request_work(ack.client_id, 2));
+  WorkUnit unit = decode_work_assignment(net::read_message(stream));
+  ASSERT_GE(unit.epoch, 1u);
+
+  // A correct answer to a real lease, but with epoch 0: every lease carries
+  // the server's term, so only a faulty donor sends this.
+  ResultUnit result;
+  result.problem_id = unit.problem_id;
+  result.unit_id = unit.unit_id;
+  result.stage = unit.stage;
+  result.payload = test::ToySumAlgorithm().process(unit);
+  result.payload_crc = net::crc32(result.payload);
+  net::write_message(stream, encode_submit_result(ack.client_id, result, 3));
+  auto reply = net::read_message(stream);
+  EXPECT_EQ(reply.type, net::MessageType::kError);
+  EXPECT_EQ(reply.correlation, 3u);
+  EXPECT_EQ(server.stats().results_accepted, 0u);
+
+  // The same result with the lease's epoch merges on the same connection.
+  result.epoch = unit.epoch;
+  net::write_message(stream, encode_submit_result(ack.client_id, result, 4));
+  EXPECT_TRUE(decode_result_ack(net::read_message(stream)).accepted);
+  EXPECT_EQ(server.stats().results_accepted, 1u);
   server.stop();
 }
 

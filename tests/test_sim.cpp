@@ -504,9 +504,9 @@ TEST(SimDriver, TraceMatchesRealServerEventOrder) {
   EXPECT_EQ(sim_events, srv_events);
 
   // And the shape is exactly the canonical single-client lifecycle: the
-  // first issued unit triggers one problem-data blob transfer (the v4 data
+  // first issued unit triggers one problem-data blob transfer (the data
   // plane); after that the donor's cache holds it silently. Every result
-  // from a v5 donor lands a unit_profile right before its unit_completed.
+  // from a donor lands a unit_profile right before its unit_completed.
   std::vector<std::string> expected{"client_joined"};
   for (int i = 0; i < 4; ++i) {
     expected.emplace_back("unit_issued");

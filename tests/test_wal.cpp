@@ -434,7 +434,8 @@ TEST(Wal, EpochFenceRejectsDeposedPrimaryResults) {
   EXPECT_EQ(unit2->epoch, 2u);
   EXPECT_TRUE(core.submit_result(c, execute(*unit2, problem_data), 4.0));
 
-  // ...and a legacy (pre-v6) donor result with epoch 0 is never fenced.
+  // ...and an in-process (LocalRunner-style) result with epoch 0 is never
+  // fenced; only the wire decoder rejects epoch 0.
   auto unit3 = core.request_work(c, 5.0);
   ASSERT_TRUE(unit3.has_value());
   auto legacy = execute(*unit3, problem_data);

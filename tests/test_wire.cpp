@@ -55,7 +55,8 @@ TEST(Wire, SubmitResultRoundTrip) {
   ByteWriter w;
   w.f64(-1234.5);
   result.payload = w.take();
-  result.payload_crc = 0xdeadbeefu;  // v3: the donor's digest over payload
+  result.payload_crc = 0xdeadbeefu;  // the donor's digest over payload
+  result.epoch = 1;
 
   auto [client, decoded] = decode_submit_result(encode_submit_result(9, result, 6));
   EXPECT_EQ(client, 9u);
@@ -78,9 +79,9 @@ TEST(Wire, SubmitResultV5ProfileTrailerRoundTrip) {
   prof.threads = 4;
   prof.saturations = 17;
   result.profile = prof;
+  result.epoch = 1;
 
-  auto [client, decoded] =
-      decode_submit_result(encode_submit_result(9, result, 6, 5));
+  auto [client, decoded] = decode_submit_result(encode_submit_result(9, result, 6));
   EXPECT_EQ(client, 9u);
   ASSERT_TRUE(decoded.profile.has_value());
   EXPECT_DOUBLE_EQ(decoded.profile->queue_wait_s, 0.015);
@@ -91,65 +92,38 @@ TEST(Wire, SubmitResultV5ProfileTrailerRoundTrip) {
   EXPECT_EQ(decoded.profile->threads, 4u);
   EXPECT_EQ(decoded.profile->saturations, 17u);
 
-  // A v5 frame without a profile carries only the presence flag.
+  // A frame without a profile carries only the presence flag.
   result.profile.reset();
-  auto [c2, d2] = decode_submit_result(encode_submit_result(9, result, 7, 5));
+  auto [c2, d2] = decode_submit_result(encode_submit_result(9, result, 7));
   EXPECT_EQ(c2, 9u);
   EXPECT_FALSE(d2.profile.has_value());
 }
 
-TEST(Wire, SubmitResultV4FrameHasNoTrailer) {
-  // A v4 encoder must stay bit-identical to the pre-v5 shape: a profile on
-  // the ResultUnit is silently dropped, never written, so v3/v4 servers
-  // (which expect_end after payload_crc) keep parsing the frame.
-  ResultUnit result;
-  result.problem_id = 1;
-  result.unit_id = 2;
-  ByteWriter w;
-  w.str("payload");
-  result.payload = w.take();
-  result.payload_crc = 7;
-
-  auto legacy = encode_submit_result(9, result, 6, 4);
-  result.profile = obs::UnitProfile{};
-  result.profile->compute_s = 1.25;
-  auto with_profile = encode_submit_result(9, result, 6, 4);
-  EXPECT_EQ(legacy.payload, with_profile.payload);
-  EXPECT_EQ(legacy.version, 4u);
-
-  auto [client, decoded] = decode_submit_result(legacy);
-  EXPECT_EQ(client, 9u);
-  EXPECT_FALSE(decoded.profile.has_value());
-}
-
 TEST(Wire, V6EpochRoundTripsOnWorkAndResult) {
-  // v6 frames carry the fencing epoch on both the lease and the echo;
-  // v5 frames must stay bit-identical to the pre-epoch shape.
+  // The fencing epoch rides on both the lease and the echo.
   WorkUnit unit;
   unit.problem_id = 3;
   unit.unit_id = 99;
   unit.epoch = 7;
-  auto v6 = decode_work_assignment(encode_work_assignment(unit, 5, 6));
-  EXPECT_EQ(v6.epoch, 7u);
-  auto v5 = decode_work_assignment(encode_work_assignment(unit, 5, 5));
-  EXPECT_EQ(v5.epoch, 0u);  // absent from the frame -> default
+  EXPECT_EQ(decode_work_assignment(encode_work_assignment(unit, 5)).epoch, 7u);
 
   ResultUnit result;
   result.problem_id = 3;
   result.unit_id = 99;
   result.epoch = 7;
-  auto [c6, r6] = decode_submit_result(encode_submit_result(9, result, 5, 6));
-  EXPECT_EQ(c6, 9u);
-  EXPECT_EQ(r6.epoch, 7u);
-  auto [c5, r5] = decode_submit_result(encode_submit_result(9, result, 5, 5));
-  EXPECT_EQ(c5, 9u);
-  EXPECT_EQ(r5.epoch, 0u);
+  auto [client, decoded] = decode_submit_result(encode_submit_result(9, result, 5));
+  EXPECT_EQ(client, 9u);
+  EXPECT_EQ(decoded.epoch, 7u);
+}
 
-  // A v5 encoder drops the epoch without shifting any other field.
-  ResultUnit plain = result;
-  plain.epoch = 0;
-  EXPECT_EQ(encode_submit_result(9, result, 5, 5).payload,
-            encode_submit_result(9, plain, 5, 5).payload);
+TEST(Wire, SubmitResultWithEpochZeroRejected) {
+  // Every lease carries a term >= 1, so epoch 0 on the wire is a faulty
+  // donor: the decoder refuses it before the scheduler sees it.
+  ResultUnit result;
+  result.problem_id = 3;
+  result.unit_id = 99;
+  EXPECT_THROW(decode_submit_result(encode_submit_result(9, result, 5)),
+               ProtocolError);
 }
 
 TEST(Wire, ReplicationPayloadsRoundTrip) {
