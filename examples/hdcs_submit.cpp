@@ -8,36 +8,37 @@
 // Usage:
 //   hdcs_submit --app dsearch --db db.fasta --queries q.fasta
 //               [--config search.cfg] [--port 4090] [--output hits.txt]
-//               [--checkpoint state.ckpt] [--checkpoint-interval 30]
 //               [--replicas 2] [--quorum 2] [--spot-check 0.05]
 //               [--wal-dir state.wal] [--standby-of HOST:PORT]
 //               [--failover-timeout 2]
 //               [--durability continue|fail-stop] [--wal-budget-mb 0]
 //               [--max-clients 0] [--blob-budget-mb 0]
 //               [--io-threads 1] [--workers 4] [--max-write-buffer-mb 64]
+//               [--trace events.jsonl]
 //   hdcs_submit --app dprml  --alignment aln.fasta [--config ml.cfg] ...
 //   hdcs_submit --app dboot  --alignment aln.fasta [--config boot.cfg] ...
 //
-// --checkpoint PATH makes the server autosave its scheduling state
-// (durable tmp+fsync+rename writes) every --checkpoint-interval seconds;
-// rerunning the same hdcs_submit command after a crash restores from the
-// file and finishes the remaining units instead of starting over. The
-// config file can also set max_attempts_per_unit to quarantine "poison"
-// units that repeatedly kill donors (see docs/ROBUSTNESS.md).
+// --wal-dir DIR is the one durability flag: every scheduler mutation is
+// logged and every accepted result is fsynced durable before its ack, so a
+// kill -9 loses nothing — rerunning the same command replays the log and
+// finishes the remaining units instead of starting over. The config file
+// can also set max_attempts_per_unit to quarantine "poison" units that
+// repeatedly kill donors (see docs/ROBUSTNESS.md).
 //
-// --wal-dir DIR turns on the write-ahead log: every accepted result is
-// fsynced durable before its ack, so a kill -9 loses nothing (rerun the
-// same command to replay). --standby-of HOST:PORT starts this process as a
+// --standby-of HOST:PORT starts this process as a
 // hot standby of a primary running with the same problems: it mirrors the
 // primary's state live and promotes itself — bumping the fencing epoch —
 // once the primary has been silent for --failover-timeout seconds. Point
 // donors at both with  hdcs_donor --servers primary:P,standby:P.
 //
-// SIGINT/SIGTERM shut down gracefully: a final durable checkpoint is
-// written and connected donors are told to stop (kShutdown on their next
-// request) instead of relying on the autosave window.
+// SIGINT/SIGTERM shut down gracefully: connected donors are told to stop
+// (kShutdown on their next request). Nothing needs saving on the way out;
+// with --wal-dir every ack was already durable.
 //
-// --durability picks what a WAL/checkpoint disk fault does: "continue"
+// Unknown flags are rejected, so a mistyped or retired flag fails loudly
+// instead of silently running without it.
+//
+// --durability picks what a WAL disk fault does: "continue"
 // (default) keeps scheduling non-durably and re-arms when the disk
 // recovers; "fail-stop" drains and exits with status 3 so an operator (or
 // a supervisor) restarts onto healthy storage. --wal-budget-mb caps the
@@ -59,6 +60,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -74,12 +76,19 @@ using namespace hdcs;
 
 namespace {
 
-/// Set by the SIGINT/SIGTERM handler; the wait loop polls it and runs the
-/// graceful-shutdown path (final checkpoint + drain) instead of dying with
-/// up to checkpoint_interval_s of un-saved bookkeeping.
+/// Set by the SIGINT/SIGTERM handler; the wait loop polls it and drains
+/// (donors get kShutdown) instead of dying with connections mid-request.
 std::atomic<int> g_signal{0};
 
 void on_signal(int sig) { g_signal.store(sig); }
+
+// The flags the usage text lists; anything else is rejected.
+const std::set<std::string> kFlags = {
+    "app", "db", "queries", "alignment", "config", "port", "output",
+    "replicas", "quorum", "spot-check", "wal-dir", "standby-of",
+    "failover-timeout", "durability", "wal-budget-mb", "max-clients",
+    "blob-budget-mb", "io-threads", "workers", "max-write-buffer-mb",
+    "trace"};
 
 struct Args {
   std::map<std::string, std::string> values;
@@ -90,6 +99,9 @@ struct Args {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) {
         throw InputError("expected --flag, got: " + key);
+      }
+      if (!kFlags.contains(key.substr(2))) {
+        throw InputError("unknown flag " + key);
       }
       if (i + 1 >= argc) throw InputError("missing value for " + key);
       args.values[key.substr(2)] = argv[++i];
@@ -154,8 +166,6 @@ int run(int argc, char** argv) {
       parse_i64(args.get("quorum", file_cfg.get_str("quorum", "0"))));
   scfg.scheduler.spot_check_rate = parse_f64(args.get(
       "spot-check", file_cfg.get_str("spot_check_rate", "0.05")));
-  scfg.checkpoint_path = args.get("checkpoint", "");
-  scfg.checkpoint_interval_s = parse_f64(args.get("checkpoint-interval", "30"));
   // Durability + failover (docs/ROBUSTNESS.md): --wal-dir logs every core
   // mutation (results fsynced before ack); --standby-of makes this process
   // a hot standby that mirrors the named primary and promotes when its
@@ -225,46 +235,35 @@ int run(int argc, char** argv) {
   }
 
   dist::Server server(scfg);
+  auto keep_dm = dm;  // results are read back through the concrete manager
+  // Submit before start(): WAL recovery in start() replays onto the same
+  // problems, so a rerun after a crash resumes instead of failing.
+  auto pid = server.submit_problem(dm);
   server.start();
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
-  auto keep_dm = dm;  // results are read back through the concrete manager
-  auto pid = server.submit_problem(dm);
   std::printf("serving problem %llu on 127.0.0.1:%u%s — point donors here "
               "(hdcs_donor --host 127.0.0.1 --port %u)\n",
               static_cast<unsigned long long>(pid), server.port(),
               server.is_standby() ? " [standby]" : "",
               server.port());
 
-  // Poll so SIGINT/SIGTERM can interrupt the wait: on a signal, write a
-  // final durable checkpoint (best effort) and drain — donors get a clean
-  // kShutdown instead of a dead socket, and nothing depends on the last
-  // autosave having happened recently.
+  // Poll so SIGINT/SIGTERM can interrupt the wait: on a signal, drain —
+  // donors get a clean kShutdown instead of a dead socket.
   while (!server.wait_for_problem(pid, 0.2)) {
     if (server.storage_failed()) {
       // Fail-stop tripped: the server is already draining (donors keep
-      // their buffered results). Save what the (possibly dead) disk will
-      // take, stop, and exit distinctly so supervisors can tell "disk
-      // gone" from an ordinary crash.
+      // their buffered results). Stop and exit distinctly so supervisors
+      // can tell "disk gone" from an ordinary crash.
       std::fprintf(stderr,
                    "storage failure (fail-stop): draining and exiting\n");
-      try {
-        server.save_checkpoint();
-      } catch (const Error& e) {
-        std::fprintf(stderr, "final checkpoint failed: %s\n", e.what());
-      }
       std::this_thread::sleep_for(std::chrono::milliseconds(300));
       server.stop();
       return 3;
     }
     int sig = g_signal.load();
     if (sig != 0) {
-      std::fprintf(stderr, "signal %d: checkpointing and draining\n", sig);
-      try {
-        server.save_checkpoint();
-      } catch (const Error& e) {
-        std::fprintf(stderr, "final checkpoint failed: %s\n", e.what());
-      }
+      std::fprintf(stderr, "signal %d: draining\n", sig);
       server.drain();
       std::this_thread::sleep_for(std::chrono::milliseconds(300));
       server.stop();

@@ -65,15 +65,15 @@ class DataManager {
   /// size policies like guided self-scheduling; return 0 if unknown.
   [[nodiscard]] virtual double remaining_ops_estimate() const { return 0; }
 
-  // ---- optional persistence (server checkpoint/restart) ----
+  // ---- optional persistence (WAL base snapshot, standby sync) ----
   //
-  // A long-lived server checkpoints problem progress to disk so a restart
-  // does not lose days of donated cycles. A DataManager that opts in
-  // serializes its *mutable* state only; the immutable inputs are supplied
-  // again at reconstruction time. In-flight units are preserved by the
-  // scheduler itself (it keeps their payloads) and re-delivered after the
-  // restore, so implementations must persist whatever book-keeping counts
-  // those units as outstanding.
+  // A long-lived server logs problem progress to its WAL so a restart
+  // does not lose days of donated cycles; compaction folds that progress
+  // into a base snapshot, and a hot standby receives one at sync. A
+  // DataManager that opts in serializes its *mutable* state only; the
+  // immutable inputs are supplied again at reconstruction time. The
+  // scheduler snapshots its own leases beside it, so implementations must
+  // persist whatever book-keeping counts issued units as outstanding.
 
   [[nodiscard]] virtual bool supports_snapshot() const { return false; }
   virtual void snapshot(ByteWriter& /*w*/) const {

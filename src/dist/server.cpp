@@ -9,7 +9,6 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "dist/checkpoint_file.hpp"
 #include "dist/wire.hpp"
 #include "net/bulk.hpp"
 #include "net/fault.hpp"
@@ -194,7 +193,6 @@ double Server::now() const {
 
 void Server::start() {
   if (running_.exchange(true)) return;
-  bool wal_recovered = false;
   if (!config_.wal_dir.empty()) {
     WalConfig wc;
     wc.dir = config_.wal_dir;
@@ -220,7 +218,6 @@ void Server::start() {
       // results by epoch, and sweep the dead connections' client rows.
       enter_new_term("wal_recovery", t);
       last_compact_lsn_ = wal_->next_lsn();
-      wal_recovered = true;
       if (config_.tracer) {
         config_.tracer->event(t, "wal_recovered")
             .u64("records", rec.records_replayable)
@@ -235,18 +232,9 @@ void Server::start() {
       progress_cv_.notify_all();
     }
   }
-  if (!wal_recovered && !config_.checkpoint_path.empty() &&
-      config_.restore_on_start) {
-    if (auto blob = read_checkpoint_file(config_.checkpoint_path)) {
-      LOG_INFO("restoring checkpoint from " << config_.checkpoint_path << " ("
-                                            << blob->size() << " bytes)");
-      restore_checkpoint(*blob);
-    }
-  }
   if (wal_) repl_lsn_ = wal_->next_lsn();
-  durability_.store(static_cast<int>(
-      wal_ || !config_.checkpoint_path.empty() ? Durability::kDurable
-                                               : Durability::kNone));
+  durability_.store(
+      static_cast<int>(wal_ ? Durability::kDurable : Durability::kNone));
   obs::Registry::global().gauge("server.durability")
       .set(static_cast<double>(durability_.load()));
   listener_ = net::TcpListener::bind(config_.port);
@@ -285,15 +273,38 @@ void Server::start() {
 
 void Server::stop() {
   if (!running_.exchange(false)) return;
-  // Tear connections down on their own loop threads (each posts its
-  // client_left to the workers), stop the loops, then drain the worker
-  // queue — shutdown() runs what is queued before joining.
   if (!io_.empty()) {
     io_[0]->loop.post([this] {
       io_[0]->loop.remove_fd(listener_.fd());
       listener_.close();
     });
   }
+  // Let every connection finish what it already owes: a worker may still
+  // be producing a response (the ack of the result that completed a
+  // problem races a caller that stops the server as soon as
+  // wait_for_problem() returns), and queued bytes may still be flushing.
+  // No new request is dispatched (conn_pump checks running_); each
+  // connection closes once its worker job is delivered and its queue is
+  // drained. Whatever is left after the bound is cut below.
+  for (auto& io : io_) {
+    IoLoop* iop = io.get();
+    iop->loop.post([this, iop] {
+      auto conns = iop->conns;  // disconnect mutates the set
+      for (const auto& c : conns) {
+        c->close_after_flush = true;
+        if (!c->busy) conn_flush(c);
+      }
+    });
+  }
+  const auto flush_deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+  while (loop_conns_.load() > 0 &&
+         std::chrono::steady_clock::now() < flush_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Tear the rest down on their own loop threads (each posts its
+  // client_left to the workers), stop the loops, then drain the worker
+  // queue — shutdown() runs what is queued before joining.
   for (auto& io : io_) {
     IoLoop* iop = io.get();
     iop->loop.post([this, iop] {
@@ -353,41 +364,6 @@ bool Server::wait_for_all(double timeout_s) {
 std::vector<std::byte> Server::final_result(ProblemId id) {
   std::lock_guard lock(core_mutex_);
   return core_.final_result(id);
-}
-
-std::vector<std::byte> Server::checkpoint() {
-  std::lock_guard lock(core_mutex_);
-  ByteWriter w;
-  core_.checkpoint(w);
-  return w.take();
-}
-
-void Server::restore_checkpoint(std::span<const std::byte> data) {
-  std::lock_guard lock(core_mutex_);
-  ByteReader r(data);
-  core_.restore(r);
-  r.expect_end();
-  progress_cv_.notify_all();
-}
-
-bool Server::save_checkpoint() {
-  if (config_.checkpoint_path.empty()) return false;
-  std::vector<std::byte> blob;
-  std::size_t problems = 0;
-  std::size_t in_flight = 0;
-  double t = 0;
-  {
-    std::lock_guard lock(core_mutex_);
-    ByteWriter w;
-    core_.checkpoint(w);
-    blob = w.take();
-    problems = core_.problem_count();
-    in_flight = core_.in_flight_units();
-    t = now();
-  }
-  write_checkpoint_file(config_.checkpoint_path, blob);
-  record_checkpoint_saved(config_.tracer, t, blob.size(), problems, in_flight);
-  return true;
 }
 
 SchedulerStats Server::stats() {
@@ -527,6 +503,7 @@ void Server::register_conn(IoLoop& io, net::TcpStream stream) {
   io.loop.add_fd(c->stream.fd(), EPOLLIN,
                  [this, c](std::uint32_t events) { conn_event(c, events); });
   io.conns.insert(c);
+  loop_conns_.fetch_add(1);
   connected_gauge().set(connected_.fetch_add(1) + 1);
 }
 
@@ -602,7 +579,7 @@ void Server::conn_readable(const std::shared_ptr<Conn>& c) {
 }
 
 void Server::conn_pump(const std::shared_ptr<Conn>& c) {
-  if (c->busy || c->closed || c->inbox.empty()) return;
+  if (c->busy || c->closed || c->inbox.empty() || !running_.load()) return;
   net::Message request = std::move(c->inbox.front());
   c->inbox.pop_front();
   c->busy = true;
@@ -780,6 +757,7 @@ void Server::conn_disconnect(std::shared_ptr<Conn> c, const char* reason) {
   c->inbox.clear();
   c->stream.close();
   c->io->conns.erase(c);
+  loop_conns_.fetch_sub(1);
   connected_gauge().set(connected_.fetch_sub(1) - 1);
   if (reason) {
     LOG_WARN("handler error (client " << c->client_id.load()
@@ -812,6 +790,7 @@ void Server::detach_replica(const std::shared_ptr<Conn>& c,
   c->closed = true;
   c->io->loop.remove_fd(c->stream.fd());
   c->io->conns.erase(c);
+  loop_conns_.fetch_sub(1);
   net::TcpStream stream = std::move(c->stream);
   try {
     stream.set_nonblocking(false);
@@ -832,7 +811,6 @@ void Server::detach_replica(const std::shared_ptr<Conn>& c,
 }
 
 void Server::housekeeping_loop() {
-  double last_checkpoint = now();
   double last_rearm = now();
   double last_budget_check = now();
   while (running_.load()) {
@@ -856,23 +834,8 @@ void Server::housekeeping_loop() {
         }
       }
       progress_cv_.notify_all();
-      if (!config_.checkpoint_path.empty() &&
-          now() - last_checkpoint >= config_.checkpoint_interval_s) {
-        last_checkpoint = now();
-        try {
-          save_checkpoint();
-        } catch (const Error& e) {
-          LOG_ERROR("checkpoint autosave failed: " << e.what());
-          // Checkpoint-only durability: a failed autosave IS the
-          // durability loss (there is no WAL underneath to catch it).
-          if (!wal_) {
-            std::lock_guard lock(core_mutex_);
-            degrade_locked("checkpoint_save", now());
-          }
-        }
-      }
-      // Degraded -> durable re-arm: rebuild the WAL (or prove a
-      // checkpoint lands) on a steady cadence until the disk recovers.
+      // Degraded -> durable re-arm: rebuild the WAL on a steady cadence
+      // until the disk recovers.
       if (static_cast<Durability>(durability_.load()) ==
               Durability::kDegraded &&
           !storage_failed_.load() &&
@@ -1047,24 +1010,15 @@ bool Server::try_rearm() {
   }
   const double t = now();
   try {
-    if (wal_) {
-      // Rebuild: fresh base snapshot at the feeds' lsn, fresh segment. A
-      // still-broken disk throws out of the checkpoint write and we stay
-      // degraded for the next retry.
-      ByteWriter w;
-      core_.snapshot_exact(w);
-      auto snap = w.take();
-      wal_->reset(snap, repl_lsn_, t);
-      wal_->sync();
-      last_compact_lsn_ = wal_->next_lsn();
-    } else {
-      ByteWriter w;
-      core_.checkpoint(w);
-      auto blob = w.take();
-      write_checkpoint_file(config_.checkpoint_path, blob);
-      record_checkpoint_saved(config_.tracer, t, blob.size(),
-                              core_.problem_count(), core_.in_flight_units());
-    }
+    // Rebuild: fresh base snapshot at the feeds' lsn, fresh segment. A
+    // still-broken disk throws out of the base.ckpt write and we stay
+    // degraded for the next retry.
+    ByteWriter w;
+    core_.snapshot_exact(w);
+    auto snap = w.take();
+    wal_->reset(snap, repl_lsn_, t);
+    wal_->sync();
+    last_compact_lsn_ = wal_->next_lsn();
   } catch (const Error& e) {
     LOG_WARN("durability re-arm failed: " << e.what());
     return false;

@@ -54,11 +54,10 @@ struct WorkUnit {
   /// Content-addressed bulk inputs shared across units (database chunks,
   /// stage trees). Algorithms see them with bytes materialized.
   std::vector<WorkBlob> blobs;
-  /// Server term that issued this lease (>= 1). A standby that promotes
-  /// itself bumps the epoch, so results computed against a deposed
-  /// primary's leases are fenced and rejected — the same hazard
-  /// SchedulerCore::kRestoreIdGap guards against, closed without an id
-  /// gap.
+  /// Server term that issued this lease (>= 1). WAL recovery, standby
+  /// promotion and durability degradation bump the epoch, so results
+  /// computed against an earlier incarnation's leases are fenced and
+  /// rejected, even where that incarnation's unit ids are reused.
   std::uint64_t epoch = 0;
 };
 

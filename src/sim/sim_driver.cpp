@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "dist/checkpoint_file.hpp"
 #include "net/bulk.hpp"
 #include "net/compress.hpp"
 #include "obs/metrics.hpp"
@@ -517,7 +516,23 @@ void SimDriver::machine_submit(std::size_t idx, int gen,
     if (m3.session != server_session_ && m3.alive && m3.generation == gen) {
       refresh_session(m3);
     }
-    core_.submit_result(m3.client_id, r, queue_.now());
+    const bool accepted = core_.submit_result(m3.client_id, r, queue_.now());
+    // The server fsyncs its WAL before acking an accepted result; a failed
+    // write or fsync takes its degrade_locked transition: +2, not +1, so a
+    // crash-while-degraded restart lands on a different epoch than this
+    // one.
+    if (accepted && storage_plan_ && !degraded_ &&
+        wal_write_fails(r.payload.size())) {
+      degraded_ = true;
+      durability_degradations_ += 1;
+      std::uint64_t next = core_.epoch() + 2;
+      core_.bump_epoch(next);
+      if (config_.tracer) {
+        config_.tracer->event(queue_.now(), "durability_degraded")
+            .str("reason", "wal_sync")
+            .u64("epoch", next);
+      }
+    }
     // Record completion times as problems finish.
     for (auto& [pid, pctx] : problems_) {
       if (!pctx.complete_recorded && pctx.dm->is_complete()) {
@@ -541,6 +556,16 @@ void SimDriver::schedule_tick() {
     // A dead primary ticks nothing; the standby's shadow core is driven by
     // the (now silent) record stream, not a local clock.
     if (!server_down_) core_.tick(queue_.now());
+    // Degraded: one WAL rebuild attempt per tick, the server's
+    // housekeeping re-arm cadence.
+    if (degraded_ && !server_down_ && !wal_write_fails(0)) {
+      degraded_ = false;
+      durability_restores_ += 1;
+      if (config_.tracer) {
+        config_.tracer->event(queue_.now(), "durability_restored")
+            .u64("epoch", core_.epoch());
+      }
+    }
     if (core_.all_complete()) return;
     bool any_donor_left = false;
     for (const auto& m : machines_) {
@@ -558,57 +583,11 @@ void SimDriver::schedule_tick() {
   });
 }
 
-void SimDriver::schedule_checkpoint() {
-  queue_.schedule(queue_.now() + config_.checkpoint_interval_s, [this] {
-    if (core_.all_complete()) return;
-    ByteWriter w;
-    core_.checkpoint(w);
-    auto payload = w.take();
-    // Storage-fault chaos: draw the virtual disk's verdict on this save
-    // (write then fsync, the same two failure points the real
-    // write_checkpoint_file has). An injected failure takes the TCP
-    // server's exact durable -> degraded transition: epoch bump (+2, the
-    // restart-collision fence) and a durability_degraded event; the next
-    // clean save restores. config_.checkpoint_path is NOT written on an
-    // injected failure — the virtual disk rejected the bytes.
-    if (storage_plan_) {
-      std::size_t keep = 0;
-      auto wf = storage_plan_->write_fault("sim:checkpoint", payload.size(), keep);
-      bool failed = wf != vfs::StorageFaultPlan::WriteFault::kNone ||
-                    storage_plan_->fail_sync("sim:checkpoint");
-      if (failed) {
-        if (!degraded_) {
-          degraded_ = true;
-          durability_degradations_ += 1;
-          std::uint64_t next = core_.epoch() + 2;
-          core_.bump_epoch(next);
-          if (config_.tracer) {
-            config_.tracer->event(queue_.now(), "durability_degraded")
-                .str("reason", "checkpoint_save")
-                .u64("epoch", next);
-          }
-        }
-        schedule_checkpoint();
-        return;
-      }
-    }
-    if (!config_.checkpoint_path.empty()) {
-      dist::write_checkpoint_file(config_.checkpoint_path, payload);
-    }
-    dist::record_checkpoint_saved(config_.tracer, queue_.now(), payload.size(),
-                                  core_.problem_count(),
-                                  core_.in_flight_units());
-    checkpoints_saved_ += 1;
-    if (degraded_) {
-      degraded_ = false;
-      durability_restores_ += 1;
-      if (config_.tracer) {
-        config_.tracer->event(queue_.now(), "durability_restored")
-            .u64("epoch", core_.epoch());
-      }
-    }
-    schedule_checkpoint();
-  });
+bool SimDriver::wal_write_fails(std::size_t bytes) {
+  std::size_t keep = 0;
+  return storage_plan_->write_fault("sim:wal", bytes, keep) !=
+             vfs::StorageFaultPlan::WriteFault::kNone ||
+         storage_plan_->fail_sync("sim:wal");
 }
 
 SimOutcome SimDriver::run() {
@@ -625,7 +604,6 @@ SimOutcome SimDriver::run() {
     }
   }
   schedule_tick();
-  if (config_.checkpoint_interval_s > 0) schedule_checkpoint();
   if (config_.primary_kill_time_s >= 0) {
     queue_.schedule(config_.primary_kill_time_s, [this] { primary_kill(); });
   }
@@ -655,7 +633,6 @@ SimOutcome SimDriver::run() {
   out.events_executed = queue_.executed();
   out.cache_hits = cache_hits_;
   out.cache_misses = cache_misses_;
-  out.checkpoints_saved = checkpoints_saved_;
   out.frames_retransmitted = frames_retransmitted_;
   out.joins_refused = joins_refused_;
   out.failovers = failovers_;

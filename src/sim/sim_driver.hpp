@@ -60,12 +60,6 @@ struct SimConfig {
   /// Optional structured event trace, stamped with *virtual* seconds. Same
   /// schema as the TCP server's trace. Must outlive the driver; not owned.
   obs::Tracer* tracer = nullptr;
-  /// Periodic durable checkpoints in *virtual* time: every interval the
-  /// scheduler state is serialized (and, when checkpoint_path is set,
-  /// written durably to disk) with the same checkpoint_saved event and
-  /// checkpoint.* metrics the TCP server emits. 0 = off.
-  double checkpoint_interval_s = 0;
-  std::string checkpoint_path;
   /// Deterministic network fault model, sharing net::FaultSpec with the
   /// TCP layer: connect refusals delay a machine's join (retried with the
   /// same capped exponential backoff a real donor uses) and frame faults
@@ -84,12 +78,14 @@ struct SimConfig {
   double failover_delay_s = 0.5;
   /// Virtual-time mirror of the storage-fault chaos, sharing
   /// vfs::StorageFaultSpec with the real disk layer. A LOCAL plan (never
-  /// installed globally — the sim's own checkpoint_path writes stay clean)
-  /// is drawn at each virtual checkpoint save: an injected write/sync
-  /// failure degrades durability (epoch bump + durability_degraded event,
-  /// the TCP server's exact transition), and the next clean save restores
-  /// it (durability_restored). Results are never lost — only the durable
-  /// window moves, exactly like DurabilityMode::kContinue.
+  /// installed globally) is drawn where the server fsyncs its WAL: one
+  /// "sim:wal" write + sync verdict per accepted result. A failed verdict
+  /// takes the TCP server's exact durable -> degraded transition (epoch
+  /// +2, durability_degraded with reason wal_sync); while degraded, each
+  /// tick makes one re-arm draw (the housekeeping cadence), and a clean
+  /// one restores durability (durability_restored). Results are never
+  /// lost — only the durable window moves, exactly like
+  /// DurabilityMode::kContinue.
   vfs::StorageFaultSpec storage_faults;
   /// Overload mirror of ServerConfig::max_clients: a machine whose join
   /// would exceed this many active clients is shed with a retry_later
@@ -113,8 +109,6 @@ struct SimOutcome {
   std::uint64_t events_executed = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// Virtual-time checkpoint saves (0 unless checkpoint_interval_s > 0).
-  std::uint64_t checkpoints_saved = 0;
   /// Control frames lost to injected faults and retransmitted.
   std::uint64_t frames_retransmitted = 0;
   /// Join attempts refused by injected connect faults and backed off.
@@ -222,7 +216,9 @@ class SimDriver {
                       std::span<const std::byte> bytes);
   double availability_draw(Machine& m);
   void schedule_tick();
-  void schedule_checkpoint();
+  /// The virtual disk's verdict on one "sim:wal" write of `bytes` plus its
+  /// fsync; true = either failed.
+  bool wal_write_fails(std::size_t bytes);
   /// Draws a frame fault for one control exchange; true = the frame was
   /// torn and the caller should retransmit after a penalty.
   bool frame_lost();
@@ -243,7 +239,6 @@ class SimDriver {
   double bytes_ = 0;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
-  std::uint64_t checkpoints_saved_ = 0;
   std::uint64_t frames_retransmitted_ = 0;
   std::uint64_t joins_refused_ = 0;
   bool server_down_ = false;        // between primary kill and promotion

@@ -1,11 +1,17 @@
-// Checkpoint/restore: a server restart in the middle of a computation must
-// lose nothing — merged progress survives via DataManager snapshots, and
-// in-flight units survive because the scheduler persists their payloads.
+// Checkpoint/restart through the write-ahead log: a server restart in the
+// middle of a computation must lose nothing. Each scenario drives a core
+// whose every mutation is logged the way Server logs it (tests/wal_core.hpp),
+// "crashes" it, and recovers a fresh core from the WAL directory — base
+// checkpoint plus tail replay, then a new term — the path Server::start()
+// takes. Merged progress survives via DataManager snapshots and replay;
+// leases held by the dead incarnation's donors are requeued; results
+// computed under the old term are fenced by epoch.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <thread>
 
@@ -17,16 +23,19 @@
 #include "dist/server.hpp"
 #include "dprml/dprml.hpp"
 #include "dsearch/dsearch.hpp"
-#include "obs/metrics.hpp"
 #include "phylo/simulate.hpp"
 #include "tests/toy_problem.hpp"
+#include "tests/wal_core.hpp"
 #include "util/rng.hpp"
 #include "util/vfs.hpp"
 
 namespace hdcs::dist {
 namespace {
 
+using test::fresh_wal_dir;
+using test::run_unit;
 using test::ToySumDataManager;
+using test::WalCore;
 
 SchedulerConfig cfg() {
   SchedulerConfig c;
@@ -35,16 +44,30 @@ SchedulerConfig cfg() {
   return c;
 }
 
-/// Drive `core` for `steps` request/submit cycles using the toy algorithm.
-template <typename Exec>
-void drive(SchedulerCore& core, ClientId cid, Exec&& execute, int steps,
-           double& t) {
+/// Drive `core` for `steps` request/submit cycles.
+template <typename Algo>
+void drive(WalCore& core, ClientId cid, Algo& algo, int steps, double& t) {
   for (int i = 0; i < steps; ++i) {
-    auto unit = core.request_work(cid, t);
+    auto unit = core.request(cid, t);
     if (!unit) return;
-    core.materialize_unit_blobs(*unit);
-    core.submit_result(cid, execute(*unit), t + 0.5);
+    core.submit(cid, run_unit(algo, *unit), t + 0.5);
     t += 1;
+  }
+}
+
+/// Finish every problem of a recovered core with one fresh donor.
+template <typename Algo>
+void finish(WalCore& core, Algo& algo, double& t) {
+  auto c = core.join("finisher", t);
+  int spins = 0;
+  while (!core.core().all_complete()) {
+    auto unit = core.request(c, t);
+    t += 1;
+    if (!unit) {
+      ASSERT_LT(++spins, 100000) << "recovered core stalled";
+      continue;
+    }
+    core.submit(c, run_unit(algo, *unit), t);
   }
 }
 
@@ -53,79 +76,53 @@ TEST(Checkpoint, ToyProblemSurvivesRestartMidRun) {
   auto make_dm = [] {
     return std::make_shared<ToySumDataManager>(100000, 7, /*stages=*/3);
   };
-
-  // Uninterrupted reference run.
   std::uint64_t expected = make_dm()->expected();
-
-  // Run 1: do part of the work, leave units in flight, checkpoint.
-  SchedulerCore core1(cfg(), std::make_unique<FixedGranularity>(5000));
-  auto dm1 = make_dm();
-  core1.submit_problem(dm1);
-  auto data = dm1->problem_data();
   test::ToySumAlgorithm algo;
-  algo.initialize(data);
-  auto execute = [&](const WorkUnit& u) {
-    ResultUnit r;
-    r.problem_id = u.problem_id;
-    r.unit_id = u.unit_id;
-    r.stage = u.stage;
-    r.payload = algo.process(u);
-    return r;
-  };
-  auto c1 = core1.client_joined("c1", 1e6, 0.0);
+  algo.initialize(make_dm()->problem_data());
+  std::string dir = fresh_wal_dir("ckpt_toy");
   double t = 0;
-  drive(core1, c1, execute, 3, t);
-  // Take two more units WITHOUT submitting: in-flight at checkpoint time.
-  ASSERT_TRUE(core1.request_work(c1, t));
-  ASSERT_TRUE(core1.request_work(c1, t));
-  ByteWriter w;
-  core1.checkpoint(w);
-  auto blob = w.take();
-  // The first core "crashes" here.
-
-  // Run 2: fresh core, same problem inputs, restore, finish.
-  SchedulerCore core2(cfg(), std::make_unique<FixedGranularity>(5000));
-  auto dm2 = make_dm();
-  auto pid2 = core2.submit_problem(dm2);
-  ByteReader r{std::span<const std::byte>(blob)};
-  core2.restore(r);
-  r.expect_end();
-
-  auto c2 = core2.client_joined("fresh-donor", 1e6, 0.0);
-  int spins = 0;
-  while (!core2.problem_complete(pid2)) {
-    auto unit = core2.request_work(c2, t);
-    ASSERT_TRUE(unit) << "restored core stalled";
-    core2.submit_result(c2, execute(*unit), t + 0.5);
-    t += 1;
-    ASSERT_LT(++spins, 10000);
+  {
+    // Run 1: part of the work done, two units left in flight, then crash.
+    WalCore core1(dir, cfg(), 5000, {make_dm()});
+    auto c1 = core1.join("c1", t);
+    drive(core1, c1, algo, 3, t);
+    ASSERT_TRUE(core1.request(c1, t));
+    ASSERT_TRUE(core1.request(c1, t));
   }
-  EXPECT_EQ(test::read_u64_result(core2.final_result(pid2)), expected);
+  // Run 2: same problem inputs, recovered from the log, finished.
+  auto dm2 = make_dm();
+  WalCore core2(dir, cfg(), 5000, {dm2}, t);
+  ASSERT_TRUE(core2.recovered());
+  EXPECT_EQ(core2.core().epoch(), 2u);
+  finish(core2, algo, t);
+  EXPECT_EQ(test::read_u64_result(core2.core().final_result(core2.pid())),
+            expected);
   // The two in-flight units were re-delivered, not lost.
-  EXPECT_GE(core2.stats().units_reissued, 2u);
+  EXPECT_GE(core2.core().stats().units_reissued, 2u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Checkpoint, RestoreValidatesShape) {
   test::register_toy_algorithm();
-  SchedulerCore core(cfg(), std::make_unique<FixedGranularity>(100));
-  core.submit_problem(std::make_shared<ToySumDataManager>(1000));
-  ByteWriter w;
-  core.checkpoint(w);
-  auto blob = w.take();
-
-  // Restoring into a core with a different problem count fails.
-  SchedulerCore empty(cfg(), std::make_unique<FixedGranularity>(100));
-  ByteReader r1{std::span<const std::byte>(blob)};
-  EXPECT_THROW(empty.restore(r1), ProtocolError);
-
-  // Restoring into a core that already made progress fails.
-  SchedulerCore busy(cfg(), std::make_unique<FixedGranularity>(100));
-  auto dm = std::make_shared<ToySumDataManager>(1000);
-  busy.submit_problem(dm);
-  auto cid = busy.client_joined("c", 1e6, 0.0);
-  ASSERT_TRUE(busy.request_work(cid, 0.0));
-  ByteReader r2{std::span<const std::byte>(blob)};
-  EXPECT_THROW(busy.restore(r2), ProtocolError);
+  std::string dir = fresh_wal_dir("ckpt_shape");
+  {
+    WalCore core(dir, cfg(), 100, {std::make_shared<ToySumDataManager>(1000)});
+    auto c = core.join("c", 0.0);
+    ASSERT_TRUE(core.request(c, 0.0));
+    core.compact(0.5);  // the base checkpoint now records one problem
+  }
+  // Recovering against a different problem set is refused outright —
+  // replaying one job's log onto another job's problems would merge
+  // garbage.
+  EXPECT_THROW(WalCore(dir, cfg(), 100, {}), ProtocolError);
+  EXPECT_THROW(WalCore(dir, cfg(), 100,
+                       {std::make_shared<ToySumDataManager>(1000),
+                        std::make_shared<ToySumDataManager>(1000)}),
+               ProtocolError);
+  // The refused attempts changed nothing: the right problems still recover.
+  WalCore ok(dir, cfg(), 100, {std::make_shared<ToySumDataManager>(1000)});
+  EXPECT_TRUE(ok.recovered());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Checkpoint, DSearchResumeMatchesUninterrupted) {
@@ -139,49 +136,28 @@ TEST(Checkpoint, DSearchResumeMatchesUninterrupted) {
   dsearch::DSearchConfig dcfg;
   dcfg.top_k = 8;
   auto reference = dsearch::search_serial(queries, database, dcfg);
-
-  auto run_halves = [&] {
-    SchedulerCore core1(cfg(), std::make_unique<FixedGranularity>(2e5));
-    auto dm1 = std::make_shared<dsearch::DSearchDataManager>(queries, database,
-                                                             dcfg);
-    core1.submit_problem(dm1);
-    dsearch::DSearchAlgorithm algo;
-    auto data = dm1->problem_data();
-    algo.initialize(data);
-    auto execute = [&](const WorkUnit& u) {
-      ResultUnit r;
-      r.problem_id = u.problem_id;
-      r.unit_id = u.unit_id;
-      r.stage = u.stage;
-      r.payload = algo.process(u);
-      return r;
-    };
-    auto c1 = core1.client_joined("c1", 1e6, 0.0);
-    double t = 0;
-    drive(core1, c1, execute, 2, t);
-    ASSERT_TRUE(core1.request_work(c1, t));  // one unit left in flight
-
-    ByteWriter w;
-    core1.checkpoint(w);
-    auto blob = w.take();
-
-    SchedulerCore core2(cfg(), std::make_unique<FixedGranularity>(2e5));
-    auto dm2 = std::make_shared<dsearch::DSearchDataManager>(queries, database,
-                                                             dcfg);
-    auto pid2 = core2.submit_problem(dm2);
-    ByteReader r{std::span<const std::byte>(blob)};
-    core2.restore(r);
-    auto c2 = core2.client_joined("c2", 1e6, 0.0);
-    while (!core2.problem_complete(pid2)) {
-      auto unit = core2.request_work(c2, t);
-      ASSERT_TRUE(unit);
-      core2.materialize_unit_blobs(*unit);
-      core2.submit_result(c2, execute(*unit), t);
-      t += 1;
-    }
-    EXPECT_EQ(dm2->result(), reference);
+  auto make_dm = [&] {
+    return std::make_shared<dsearch::DSearchDataManager>(queries, database,
+                                                         dcfg);
   };
-  run_halves();
+  dsearch::DSearchAlgorithm algo;
+  algo.initialize(make_dm()->problem_data());
+
+  std::string dir = fresh_wal_dir("ckpt_dsearch");
+  double t = 0;
+  {
+    WalCore core1(dir, cfg(), 2e5, {make_dm()});
+    auto c1 = core1.join("c1", t);
+    drive(core1, c1, algo, 2, t);
+    ASSERT_TRUE(core1.request(c1, t));  // one unit left in flight
+  }
+  auto dm2 = make_dm();
+  WalCore core2(dir, cfg(), 2e5, {dm2}, t);
+  ASSERT_TRUE(core2.recovered());
+  EXPECT_EQ(core2.core().stats().results_accepted, 2u);  // replayed
+  finish(core2, algo, t);
+  EXPECT_EQ(dm2->result(), reference);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Checkpoint, DPRmlResumeMidStageMatchesSerial) {
@@ -197,84 +173,65 @@ TEST(Checkpoint, DPRmlResumeMidStageMatchesSerial) {
   pcfg.refine_passes = 1;
   pcfg.use_eval_cache = false;
   auto serial = dprml::build_tree_serial(aln, pcfg);
-
-  SchedulerCore core1(cfg(), std::make_unique<FixedGranularity>(1.0));
-  auto dm1 = std::make_shared<dprml::DPRmlDataManager>(aln, pcfg);
-  core1.submit_problem(dm1);
-  dprml::DPRmlAlgorithm algo;
-  auto data = dm1->problem_data();
-  algo.initialize(data);
-  auto execute = [&](const WorkUnit& u) {
-    ResultUnit r;
-    r.problem_id = u.problem_id;
-    r.unit_id = u.unit_id;
-    r.stage = u.stage;
-    r.payload = algo.process(u);
-    return r;
+  auto make_dm = [&] {
+    return std::make_shared<dprml::DPRmlDataManager>(aln, pcfg);
   };
-  auto c1 = core1.client_joined("c1", 1e6, 0.0);
+  dprml::DPRmlAlgorithm algo;
+  algo.initialize(make_dm()->problem_data());
+
+  std::string dir = fresh_wal_dir("ckpt_dprml");
   double t = 0;
-  // Get into the middle of an eval stage, with one candidate in flight.
-  drive(core1, c1, execute, 4, t);
-  core1.request_work(c1, t);  // may be nullopt at a barrier — also fine
-
-  ByteWriter w;
-  core1.checkpoint(w);
-  auto blob = w.take();
-
-  SchedulerCore core2(cfg(), std::make_unique<FixedGranularity>(1.0));
-  auto dm2 = std::make_shared<dprml::DPRmlDataManager>(aln, pcfg);
-  auto pid2 = core2.submit_problem(dm2);
-  ByteReader r{std::span<const std::byte>(blob)};
-  core2.restore(r);
-  auto c2 = core2.client_joined("c2", 1e6, 0.0);
-  int spins = 0;
-  while (!core2.problem_complete(pid2)) {
-    auto unit = core2.request_work(c2, t);
-    t += 1;
-    if (!unit) {
-      ASSERT_LT(++spins, 100000) << "restored DPRml stalled";
-      continue;
-    }
-    core2.materialize_unit_blobs(*unit);
-    core2.submit_result(c2, execute(*unit), t);
+  {
+    WalCore core1(dir, cfg(), 1.0, {make_dm()});
+    auto c1 = core1.join("c1", t);
+    // Get into the middle of an eval stage, with one candidate in flight.
+    drive(core1, c1, algo, 4, t);
+    core1.request(c1, t);  // may be nullopt at a barrier — also fine
   }
+  auto dm2 = make_dm();
+  WalCore core2(dir, cfg(), 1.0, {dm2}, t);
+  ASSERT_TRUE(core2.recovered());
+  EXPECT_GT(core2.core().stats().results_accepted, 0u);  // replayed
+  finish(core2, algo, t);
   auto resumed = dm2->result();
   EXPECT_EQ(resumed.newick, serial.newick);
   EXPECT_DOUBLE_EQ(resumed.log_likelihood, serial.log_likelihood);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Checkpoint, ServerLevelRestartOverTcp) {
   test::register_toy_algorithm();
+  std::string dir = fresh_wal_dir("ckpt_server_tcp");
   ServerConfig scfg;
   scfg.scheduler.bounds.min_ops = 1000;
   scfg.policy_spec = "fixed:400000";
   scfg.tick_interval_s = 0.05;
   scfg.no_work_retry_s = 0.02;
+  scfg.wal_dir = dir;
 
   std::uint64_t expected = ToySumDataManager(2000000, 5).expected();
-  std::vector<std::byte> blob;
-
+  std::uint64_t first_epoch = 0;
   {
     Server server(scfg);
+    server.submit_problem(std::make_shared<ToySumDataManager>(2000000, 5));
     server.start();
-    auto dm = std::make_shared<ToySumDataManager>(2000000, 5);
-    server.submit_problem(dm);
-    // One donor does a single unit, then we checkpoint and "crash".
+    // One donor does a single unit, then the server "crashes".
     ClientConfig ccfg;
     ccfg.server_port = server.port();
     ccfg.name = "early-bird";
     ccfg.crash_after_units = 2;  // computes one, crashes on the 2nd
     Client(ccfg).run();
-    blob = server.checkpoint();
+    EXPECT_EQ(server.stats().results_accepted, 1u);
+    first_epoch = server.epoch();
     server.stop();
   }
   {
     Server server(scfg);
-    auto dm = std::make_shared<ToySumDataManager>(2000000, 5);
-    auto pid = server.submit_problem(dm);
-    server.restore_checkpoint(blob);
-    server.start();
+    auto pid =
+        server.submit_problem(std::make_shared<ToySumDataManager>(2000000, 5));
+    server.start();  // replays the WAL left in `dir`
+    EXPECT_EQ(server.epoch(), first_epoch + 1);
+    EXPECT_EQ(server.stats().results_accepted, 1u);
     ClientConfig ccfg;
     ccfg.server_port = server.port();
     ccfg.name = "finisher";
@@ -283,106 +240,100 @@ TEST(Checkpoint, ServerLevelRestartOverTcp) {
     EXPECT_EQ(test::read_u64_result(server.final_result(pid)), expected);
     server.stop();
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Checkpoint, HedgedDuplicateInFlightAcrossRestoreDropped) {
   test::register_toy_algorithm();
   auto c = cfg();
   c.hedge_endgame = true;
-  SchedulerCore core1(c, std::make_unique<FixedGranularity>(1000));
-  auto dm1 = std::make_shared<ToySumDataManager>(1000, 3);  // one unit
-  core1.submit_problem(dm1);
-  auto data = dm1->problem_data();
   test::ToySumAlgorithm algo;
-  algo.initialize(data);
-  auto execute = [&](const WorkUnit& u) {
-    ResultUnit r;
-    r.problem_id = u.problem_id;
-    r.unit_id = u.unit_id;
-    r.stage = u.stage;
-    r.payload = algo.process(u);
-    return r;
-  };
+  algo.initialize(ToySumDataManager(1000, 3).problem_data());
+  std::string dir = fresh_wal_dir("ckpt_hedge");
 
   // Two donors race the same unit (endgame hedge), then the server dies
   // with the hedged unit still in flight.
-  auto slow = core1.client_joined("slow", 1e6, 0.0);
-  auto fast = core1.client_joined("fast", 1e6, 0.0);
-  auto original = core1.request_work(slow, 0.0);
-  ASSERT_TRUE(original);
-  auto hedged = core1.request_work(fast, 1.0);
-  ASSERT_TRUE(hedged);
-  ASSERT_EQ(hedged->unit_id, original->unit_id);
-  ByteWriter w;
-  core1.checkpoint(w);
-  auto blob = w.take();
-
-  SchedulerCore core2(c, std::make_unique<FixedGranularity>(1000));
+  std::optional<WorkUnit> original;
+  std::optional<WorkUnit> hedged;
+  {
+    WalCore core1(dir, c, 1000, {std::make_shared<ToySumDataManager>(1000, 3)});
+    auto slow = core1.join("slow", 0.0);
+    auto fast = core1.join("fast", 0.0);
+    original = core1.request(slow, 0.0);
+    ASSERT_TRUE(original);
+    hedged = core1.request(fast, 1.0);
+    ASSERT_TRUE(hedged);
+    ASSERT_EQ(hedged->unit_id, original->unit_id);
+  }
   auto dm2 = std::make_shared<ToySumDataManager>(1000, 3);
-  auto pid2 = core2.submit_problem(dm2);
-  ByteReader r{std::span<const std::byte>(blob)};
-  EXPECT_EQ(core2.restore(r), 1u);  // one lease record for the hedged unit
+  WalCore core2(dir, c, 1000, {dm2}, 2.0);
+  // Both racers' leases died with their connections: one copy requeued.
+  EXPECT_EQ(core2.core().pending_units(), 1u);
 
-  // A fresh donor finishes the restored unit; both old racers' buffered
-  // results then arrive late (resubmitted after their reconnect) and are
-  // dropped as duplicates. Stats stay exact: one accept, two drops.
-  auto fresh = core2.client_joined("fresh", 1e6, 2.0);
-  auto reissued = core2.request_work(fresh, 2.0);
+  // A fresh donor finishes the unit; both old racers' buffered results
+  // then arrive late (resubmitted after their reconnect) and are fenced —
+  // they carry the dead term. Stats stay exact: one accept, two fenced.
+  auto fresh = core2.join("fresh", 2.0);
+  auto reissued = core2.request(fresh, 2.0);
   ASSERT_TRUE(reissued);
   EXPECT_EQ(reissued->unit_id, original->unit_id);
-  EXPECT_TRUE(core2.submit_result(fresh, execute(*reissued), 3.0));
-  EXPECT_TRUE(core2.problem_complete(pid2));
+  EXPECT_TRUE(core2.submit(fresh, run_unit(algo, *reissued), 3.0));
+  EXPECT_TRUE(core2.core().problem_complete(core2.pid()));
 
-  auto late1 = core2.client_joined("slow-rejoined", 1e6, 4.0);
-  auto late2 = core2.client_joined("fast-rejoined", 1e6, 4.0);
-  EXPECT_FALSE(core2.submit_result(late1, execute(*original), 5.0));
-  EXPECT_FALSE(core2.submit_result(late2, execute(*hedged), 5.0));
-  EXPECT_EQ(core2.stats().results_accepted, 1u);
-  EXPECT_EQ(core2.stats().duplicate_results_dropped, 2u);
-  EXPECT_EQ(test::read_u64_result(core2.final_result(pid2)),
-            ToySumDataManager(1000, 3).expected());
+  auto late1 = core2.join("slow-rejoined", 4.0);
+  auto late2 = core2.join("fast-rejoined", 4.0);
+  EXPECT_FALSE(core2.submit(late1, run_unit(algo, *original), 5.0));
+  EXPECT_FALSE(core2.submit(late2, run_unit(algo, *hedged), 5.0));
+  EXPECT_EQ(core2.core().stats().results_accepted, 1u);
+  EXPECT_EQ(core2.core().stats().results_rejected_stale_epoch, 2u);
+  EXPECT_EQ(test::read_u64_result(core2.core().final_result(core2.pid())),
+            dm2->expected());
+  std::filesystem::remove_all(dir);
 }
 
-TEST(Checkpoint, RestoreIdGapPreventsCrossRestartCollisions) {
+TEST(Checkpoint, PreCrashLeaseFencedByEpochAfterWalRecovery) {
   test::register_toy_algorithm();
-  SchedulerCore core1(cfg(), std::make_unique<FixedGranularity>(1000));
-  auto dm1 = std::make_shared<ToySumDataManager>(10000);
-  core1.submit_problem(dm1);
-  auto data = dm1->problem_data();
   test::ToySumAlgorithm algo;
-  algo.initialize(data);
-  auto c1 = core1.client_joined("c1", 1e6, 0.0);
+  algo.initialize(ToySumDataManager(10000).problem_data());
+  std::string dir = fresh_wal_dir("ckpt_fence");
 
-  ByteWriter w;
-  core1.checkpoint(w);
-  auto blob = w.take();
-  // Units issued AFTER the checkpoint: their ids die with the crash.
-  auto post = core1.request_work(c1, 1.0);
-  ASSERT_TRUE(post);
-
-  SchedulerCore core2(cfg(), std::make_unique<FixedGranularity>(1000));
+  std::optional<WorkUnit> lost;
+  {
+    WalCore core1(dir, cfg(), 1000,
+                  {std::make_shared<ToySumDataManager>(10000)});
+    auto c1 = core1.join("c1", 0.0);
+    core1.sync();
+    // A lease whose RequestWork record never reached the disk (a power
+    // loss tears the unsynced tail off): the recovered core never saw it.
+    lost = core1.core().request_work(c1, 1.0);
+    ASSERT_TRUE(lost);
+  }
   auto dm2 = std::make_shared<ToySumDataManager>(10000);
-  core2.submit_problem(dm2);
-  ByteReader r{std::span<const std::byte>(blob)};
-  core2.restore(r);
+  WalCore core2(dir, cfg(), 1000, {dm2}, 2.0);
+  ASSERT_TRUE(core2.recovered());
 
-  // New ids jump by kRestoreIdGap, so the lost post-checkpoint id can
-  // never be reassigned to different work.
-  auto c2 = core2.client_joined("c2", 1e6, 2.0);
-  auto fresh = core2.request_work(c2, 2.0);
+  // No id gap: the recovered core hands the lost unit id out again, under
+  // the new term.
+  auto c2 = core2.join("c2", 2.0);
+  auto fresh = core2.request(c2, 2.0);
   ASSERT_TRUE(fresh);
-  EXPECT_GE(fresh->unit_id, SchedulerCore::kRestoreIdGap);
-  EXPECT_NE(fresh->unit_id, post->unit_id);
+  EXPECT_EQ(fresh->unit_id, lost->unit_id);
+  EXPECT_GT(fresh->epoch, lost->epoch);
 
-  // A reconnecting donor's buffered result for the lost unit is dropped
-  // as stale — never merged into the wrong unit.
-  ResultUnit stale;
-  stale.problem_id = post->problem_id;
-  stale.unit_id = post->unit_id;
-  stale.stage = post->stage;
-  stale.payload = algo.process(*post);
-  EXPECT_FALSE(core2.submit_result(c2, stale, 3.0));
-  EXPECT_GE(core2.stats().stale_results_dropped, 1u);
+  // The reconnecting donor's buffered result for the lost lease carries
+  // the dead term and is fenced — never merged into the reissued unit.
+  auto rejoined = core2.join("c1", 3.0);
+  EXPECT_FALSE(core2.submit(rejoined, run_unit(algo, *lost), 3.0));
+  EXPECT_EQ(core2.core().stats().results_rejected_stale_epoch, 1u);
+  EXPECT_EQ(core2.core().stats().results_accepted, 0u);
+
+  // The current lease's result is accepted and the job finishes exactly.
+  EXPECT_TRUE(core2.submit(c2, run_unit(algo, *fresh), 4.0));
+  double t = 5.0;
+  finish(core2, algo, t);
+  EXPECT_EQ(test::read_u64_result(core2.core().final_result(core2.pid())),
+            dm2->expected());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Checkpoint, AttemptCountsAndQuarantineSurviveRestore) {
@@ -390,58 +341,104 @@ TEST(Checkpoint, AttemptCountsAndQuarantineSurviveRestore) {
   auto c = cfg();
   c.lease_timeout = 10.0;
   c.max_attempts_per_unit = 2;
-  SchedulerCore core1(c, std::make_unique<FixedGranularity>(1000));
-  auto dm1 = std::make_shared<ToySumDataManager>(1000);
-  core1.submit_problem(dm1);
-  auto data = dm1->problem_data();
   test::ToySumAlgorithm algo;
-  algo.initialize(data);
+  algo.initialize(ToySumDataManager(1000).problem_data());
+  std::string dir = fresh_wal_dir("ckpt_attempts");
+  std::string copy = fresh_wal_dir("ckpt_attempts_copy");
+  auto one_unit = [] { return std::make_shared<ToySumDataManager>(1000); };
 
-  // Burn attempt 1 before the crash.
-  auto c1 = core1.client_joined("c1", 1e6, 0.0);
-  auto unit = core1.request_work(c1, 0.0);
-  ASSERT_TRUE(unit);
-  core1.tick(20.0);  // expired: attempt 1 of 2 burned, unit requeued
-  ByteWriter w;
-  core1.checkpoint(w);
-  auto blob = w.take();
+  {
+    // Burn attempt 1 before the crash.
+    WalCore core1(dir, c, 1000, {one_unit()});
+    auto c1 = core1.join("c1", 0.0);
+    ASSERT_TRUE(core1.request(c1, 0.0));
+    core1.tick(20.0);  // expired: attempt 1 of 2 burned, unit requeued
+  }
 
-  // The restored core remembers the burned attempt: one more failure
+  // The recovered core remembers the burned attempt: one more failure
   // quarantines the unit instead of starting the count over.
-  SchedulerCore core2(c, std::make_unique<FixedGranularity>(1000));
-  auto dm2 = std::make_shared<ToySumDataManager>(1000);
-  auto pid2 = core2.submit_problem(dm2);
-  ByteReader r{std::span<const std::byte>(blob)};
-  core2.restore(r);
-  auto c2 = core2.client_joined("c2", 1e6, 21.0);
-  ASSERT_TRUE(core2.request_work(c2, 21.0));  // attempt 2
+  WalCore core2(dir, c, 1000, {one_unit()}, 21.0);
+  auto c2 = core2.join("c2", 21.0);
+  auto second = core2.request(c2, 21.0);  // attempt 2
+  ASSERT_TRUE(second);
   core2.tick(40.0);
-  EXPECT_EQ(core2.stats().units_quarantined, 1u);
-  auto c3 = core2.client_joined("c3", 1e6, 41.0);
-  EXPECT_FALSE(core2.request_work(c3, 41.0).has_value());
+  EXPECT_EQ(core2.core().stats().units_quarantined, 1u);
+  auto c3 = core2.join("c3", 41.0);
+  EXPECT_FALSE(core2.request(c3, 41.0).has_value());
 
-  // Quarantine itself round-trips: a third incarnation still refuses to
-  // reissue the unit, and a genuine late result still rescues it.
-  ByteWriter w2;
-  core2.checkpoint(w2);
-  auto blob2 = w2.take();
-  SchedulerCore core3(c, std::make_unique<FixedGranularity>(1000));
-  auto dm3 = std::make_shared<ToySumDataManager>(1000);
-  auto pid3 = core3.submit_problem(dm3);
-  ByteReader r2{std::span<const std::byte>(blob2)};
-  core3.restore(r2);
-  auto c4 = core3.client_joined("c4", 1e6, 50.0);
-  EXPECT_FALSE(core3.request_work(c4, 50.0).has_value());
-  ResultUnit genuine;
-  genuine.problem_id = unit->problem_id;
-  genuine.unit_id = unit->unit_id;
-  genuine.stage = unit->stage;
-  genuine.payload = algo.process(*unit);
-  EXPECT_TRUE(core3.submit_result(c4, genuine, 51.0));
-  EXPECT_TRUE(core3.problem_complete(pid3));
-  EXPECT_EQ(test::read_u64_result(core3.final_result(pid3)),
-            dm1->expected());
-  (void)pid2;
+  // Quarantine itself survives recovery: a third incarnation (from a copy
+  // of the log as it stands) still refuses to reissue the unit, and the
+  // late result of the second incarnation's lease is fenced there.
+  core2.sync();
+  std::filesystem::copy(dir, copy, std::filesystem::copy_options::recursive);
+  {
+    WalCore core3(copy, c, 1000, {one_unit()}, 50.0);
+    auto c4 = core3.join("c4", 50.0);
+    EXPECT_FALSE(core3.request(c4, 50.0).has_value());
+    EXPECT_EQ(core3.core().stats().units_quarantined, 1u);
+    EXPECT_FALSE(core3.submit(c4, run_unit(algo, *second), 51.0));
+    EXPECT_FALSE(core3.core().problem_complete(core3.pid()));
+  }
+
+  // Within its own term, a genuine late result still rescues the unit.
+  EXPECT_TRUE(core2.submit(c2, run_unit(algo, *second), 51.0));
+  EXPECT_TRUE(core2.core().problem_complete(core2.pid()));
+  EXPECT_EQ(test::read_u64_result(core2.core().final_result(core2.pid())),
+            ToySumDataManager(1000).expected());
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(copy);
+}
+
+TEST(Checkpoint, ServerAutosavesAndRestoresFromDisk) {
+  // The server's autosave is WAL compaction: every wal_compact_every
+  // records the housekeeping thread folds the log into base.ckpt. A
+  // restart restores that checkpoint and replays the tail behind it.
+  test::register_toy_algorithm();
+  std::string dir = fresh_wal_dir("ckpt_server_autosave");
+  ServerConfig scfg;
+  scfg.scheduler.bounds.min_ops = 1000;
+  scfg.policy_spec = "fixed:400000";
+  scfg.tick_interval_s = 0.02;
+  scfg.no_work_retry_s = 0.02;
+  scfg.wal_dir = dir;
+  scfg.wal_compact_every = 4;
+
+  std::uint64_t expected = ToySumDataManager(2000000, 5).expected();
+  const std::string base = dir + "/base.ckpt";
+  {
+    Server server(scfg);
+    server.submit_problem(std::make_shared<ToySumDataManager>(2000000, 5));
+    server.start();
+    ClientConfig ccfg;
+    ccfg.server_port = server.port();
+    ccfg.name = "early-bird";
+    ccfg.crash_after_units = 2;  // computes one unit, vanishes on the 2nd
+    Client(ccfg).run();
+    // Wait for the housekeeping loop's compaction to land on disk after
+    // the accepted result.
+    for (int i = 0; i < 200 && !vfs::exists(base); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    server.compact_wal();  // and once more, deterministically past it
+    server.stop();         // "kill -9": only the directory carries over
+  }
+  ASSERT_TRUE(vfs::exists(base));
+  ASSERT_TRUE(read_checkpoint_file(base).has_value());
+  {
+    Server server(scfg);
+    auto pid =
+        server.submit_problem(std::make_shared<ToySumDataManager>(2000000, 5));
+    server.start();
+    EXPECT_EQ(server.stats().results_accepted, 1u);
+    ClientConfig ccfg;
+    ccfg.server_port = server.port();
+    ccfg.name = "finisher";
+    Client(ccfg).run();
+    ASSERT_TRUE(server.wait_for_problem(pid, 30.0));
+    EXPECT_EQ(test::read_u64_result(server.final_result(pid)), expected);
+    server.stop();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CheckpointFile, RoundTripAndMissingFile) {
@@ -503,57 +500,6 @@ TEST(CheckpointFile, CorruptionAndTruncationDetected) {
             static_cast<std::streamsize>(part.data().size()));
   }
   EXPECT_THROW(read_checkpoint_file(path), ProtocolError);
-  std::remove(path.c_str());
-}
-
-TEST(Checkpoint, ServerAutosavesAndRestoresFromDisk) {
-  test::register_toy_algorithm();
-  std::string path = testing::TempDir() + "hdcs_ckpt_server.bin";
-  std::remove(path.c_str());
-
-  ServerConfig scfg;
-  scfg.scheduler.bounds.min_ops = 1000;
-  scfg.policy_spec = "fixed:400000";
-  scfg.tick_interval_s = 0.02;
-  scfg.no_work_retry_s = 0.02;
-  scfg.checkpoint_path = path;
-  scfg.checkpoint_interval_s = 0.05;
-
-  std::uint64_t expected = ToySumDataManager(2000000, 5).expected();
-  auto& saves = obs::Registry::global().counter("checkpoint.saves");
-  std::uint64_t saves_before = saves.value();
-
-  {
-    Server server(scfg);
-    server.start();
-    auto dm = std::make_shared<ToySumDataManager>(2000000, 5);
-    server.submit_problem(dm);
-    ClientConfig ccfg;
-    ccfg.server_port = server.port();
-    ccfg.name = "early-bird";
-    ccfg.crash_after_units = 2;  // computes one unit, vanishes on the 2nd
-    Client(ccfg).run();
-    // Wait for the housekeeping loop's periodic autosave to hit disk.
-    for (int i = 0; i < 200 && saves.value() == saves_before; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    EXPECT_GT(saves.value(), saves_before);
-    server.save_checkpoint();  // deterministic final state for phase two
-    server.stop();             // "kill -9": nothing else is carried over
-  }
-  {
-    Server server(scfg);  // restore_on_start = true reads the file
-    auto dm = std::make_shared<ToySumDataManager>(2000000, 5);
-    auto pid = server.submit_problem(dm);
-    server.start();
-    ClientConfig ccfg;
-    ccfg.server_port = server.port();
-    ccfg.name = "finisher";
-    Client(ccfg).run();
-    ASSERT_TRUE(server.wait_for_problem(pid, 30.0));
-    EXPECT_EQ(test::read_u64_result(server.final_result(pid)), expected);
-    server.stop();
-  }
   std::remove(path.c_str());
 }
 

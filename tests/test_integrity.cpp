@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "net/bulk.hpp"
 #include "obs/trace.hpp"
 #include "tests/toy_problem.hpp"
+#include "tests/wal_core.hpp"
 #include "util/byte_buffer.hpp"
 #include "util/error.hpp"
 
@@ -44,6 +47,7 @@ ResultUnit execute(const WorkUnit& unit, std::span<const std::byte> problem_data
   r.problem_id = unit.problem_id;
   r.unit_id = unit.unit_id;
   r.stage = unit.stage;
+  r.epoch = unit.epoch;
   r.payload = algo.process(unit);
   r.payload_crc = net::crc32(std::span<const std::byte>(r.payload));
   return r;
@@ -415,89 +419,87 @@ TEST(SchedulerIntegrity, LostHedgeDoesNotBurnAttemptsOrQuarantine) {
 
 TEST(SchedulerIntegrity, VoteStateSurvivesCheckpointRestore) {
   auto cfg = integrity_config(2, 2);
-  SchedulerCore core(cfg, std::make_unique<FixedGranularity>(500));
   auto dm = std::make_shared<ToySumDataManager>(500);
-  auto pid = core.submit_problem(dm);
   auto data = dm->problem_data();
-  auto c1 = core.client_joined("c1", 1e6, 0.0);
-  auto c2 = core.client_joined("c2", 1e6, 0.0);
+  std::string dir = test::fresh_wal_dir("integrity_vote_state");
+  std::optional<WorkUnit> unit;
+  {
+    test::WalCore core(dir, cfg, 500, {dm});
+    auto c1 = core.join("c1", 0.0);
+    auto c2 = core.join("c2", 0.0);
+    unit = core.request(c1, 0.0);
+    ASSERT_TRUE(unit);
+    ASSERT_TRUE(core.request(c2, 0.0));  // replica leased to c2
+    EXPECT_TRUE(core.submit(c1, execute(*unit, data), 1.0));  // one vote in
+    core.compact(1.5);  // the half-finished vote is in the base checkpoint
+  }
 
-  auto unit = core.request_work(c1, 0.0);
-  ASSERT_TRUE(unit);
-  ASSERT_TRUE(core.request_work(c2, 0.0));  // replica leased to c2
-  EXPECT_TRUE(core.submit_result(c1, execute(*unit, data), 1.0));  // one vote in
-
-  ByteWriter w;
-  core.checkpoint(w);
-  auto blob = w.take();
-
-  // Crash. The restored core must resume the vote — c1's recorded digest
+  // Crash. The recovered core must resume the vote — c1's recorded digest
   // still counts, so ONE more agreeing vote reaches quorum (re-trusting a
-  // single donor with the whole unit would defeat replication).
-  SchedulerCore restored(cfg, std::make_unique<FixedGranularity>(500));
+  // single donor with the whole unit would defeat replication). c2's lease
+  // died with its connection; its replica copy is requeued.
   auto dm2 = std::make_shared<ToySumDataManager>(500);
-  auto pid2 = restored.submit_problem(dm2);
-  ASSERT_EQ(pid2, pid);
-  ByteReader r{std::span<const std::byte>(blob)};
-  EXPECT_EQ(restored.restore(r), 1u);
-
-  auto c3 = restored.client_joined("c3", 1e6, 100.0);
-  auto copy = restored.request_work(c3, 100.0);
+  test::WalCore restored(dir, cfg, 500, {dm2}, 100.0);
+  ASSERT_TRUE(restored.recovered());
+  auto pid2 = restored.pid();
+  auto c3 = restored.join("c3", 100.0);
+  auto copy = restored.request(c3, 100.0);
   ASSERT_TRUE(copy);
   EXPECT_EQ(copy->unit_id, unit->unit_id);
   EXPECT_EQ(copy->payload, unit->payload);
-  EXPECT_FALSE(restored.problem_complete(pid2));
-  EXPECT_TRUE(
-      restored.submit_result(c3, execute(*copy, dm2->problem_data()), 101.0));
-  EXPECT_TRUE(restored.problem_complete(pid2));
-  EXPECT_EQ(test::read_u64_result(restored.final_result(pid2)), dm2->expected());
-  EXPECT_EQ(restored.stats().vote_quorums, 1u);
-  // The pre-crash voter is settled as a winner in the restored core.
-  ASSERT_NE(restored.reputation("c1"), nullptr);
-  EXPECT_EQ(restored.reputation("c1")->vote_wins, 1u);
+  EXPECT_FALSE(restored.core().problem_complete(pid2));
+  EXPECT_TRUE(restored.submit(c3, execute(*copy, dm2->problem_data()), 101.0));
+  EXPECT_TRUE(restored.core().problem_complete(pid2));
+  EXPECT_EQ(test::read_u64_result(restored.core().final_result(pid2)),
+            dm2->expected());
+  EXPECT_EQ(restored.core().stats().vote_quorums, 1u);
+  // The pre-crash voter is settled as a winner in the recovered core.
+  ASSERT_NE(restored.core().reputation("c1"), nullptr);
+  EXPECT_EQ(restored.core().reputation("c1")->vote_wins, 1u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SchedulerIntegrity, ReputationLedgerSurvivesCheckpointRestore) {
   auto cfg = integrity_config(2, 2);
   cfg.blacklist_after = 1;
-  SchedulerCore core(cfg, std::make_unique<FixedGranularity>(500));
   auto dm = std::make_shared<ToySumDataManager>(500);
-  auto pid = core.submit_problem(dm);
   auto data = dm->problem_data();
-  auto liar = core.client_joined("liar", 1e6, 0.0);
-  auto h1 = core.client_joined("h1", 1e6, 0.0);
-  auto h2 = core.client_joined("h2", 1e6, 0.0);
-
-  auto unit = core.request_work(liar, 0.0);
-  ASSERT_TRUE(unit);
-  auto replica = core.request_work(h1, 0.0);
-  ASSERT_TRUE(replica);
-  EXPECT_TRUE(core.submit_result(liar, corrupt(execute(*unit, data)), 1.0));
-  EXPECT_TRUE(core.submit_result(h1, execute(*replica, data), 2.0));
-  auto tie_breaker = core.request_work(h2, 3.0);
-  ASSERT_TRUE(tie_breaker);
-  EXPECT_TRUE(core.submit_result(h2, execute(*tie_breaker, data), 4.0));
-  ASSERT_TRUE(core.problem_complete(pid));
-  ASSERT_TRUE(core.reputation("liar")->blacklisted);
-
-  ByteWriter w;
-  core.checkpoint(w);
-  auto blob = w.take();
+  std::string dir = test::fresh_wal_dir("integrity_reputation");
+  double liar_score = 0;
+  {
+    test::WalCore core(dir, cfg, 500, {dm});
+    auto liar = core.join("liar", 0.0);
+    auto h1 = core.join("h1", 0.0);
+    auto h2 = core.join("h2", 0.0);
+    auto unit = core.request(liar, 0.0);
+    ASSERT_TRUE(unit);
+    auto replica = core.request(h1, 0.0);
+    ASSERT_TRUE(replica);
+    EXPECT_TRUE(core.submit(liar, corrupt(execute(*unit, data)), 1.0));
+    EXPECT_TRUE(core.submit(h1, execute(*replica, data), 2.0));
+    auto tie_breaker = core.request(h2, 3.0);
+    ASSERT_TRUE(tie_breaker);
+    EXPECT_TRUE(core.submit(h2, execute(*tie_breaker, data), 4.0));
+    ASSERT_TRUE(core.core().problem_complete(core.pid()));
+    ASSERT_TRUE(core.core().reputation("liar")->blacklisted);
+    liar_score = core.core().reputation("liar")->score;
+    core.compact(5.0);  // the ledger is in the base checkpoint
+  }
 
   // A liar must not launder its record by crashing the server.
-  SchedulerCore restored(cfg, std::make_unique<FixedGranularity>(500));
-  restored.submit_problem(std::make_shared<ToySumDataManager>(500));
-  ByteReader r{std::span<const std::byte>(blob)};
-  restored.restore(r);
-  ASSERT_NE(restored.reputation("liar"), nullptr);
-  EXPECT_TRUE(restored.reputation("liar")->blacklisted);
-  EXPECT_EQ(restored.reputation("liar")->vote_losses, 1u);
-  EXPECT_DOUBLE_EQ(restored.reputation("liar")->score,
-                   core.reputation("liar")->score);
-  EXPECT_EQ(restored.reputation("h1")->vote_wins, 1u);
+  test::WalCore restored(dir, cfg, 500,
+                         {std::make_shared<ToySumDataManager>(500)}, 100.0);
+  ASSERT_TRUE(restored.recovered());
+  const DonorReputation* rep = restored.core().reputation("liar");
+  ASSERT_NE(rep, nullptr);
+  EXPECT_TRUE(rep->blacklisted);
+  EXPECT_EQ(rep->vote_losses, 1u);
+  EXPECT_DOUBLE_EQ(rep->score, liar_score);
+  EXPECT_EQ(restored.core().reputation("h1")->vote_wins, 1u);
 
-  auto liar2 = restored.client_joined("liar", 1e6, 100.0);
-  EXPECT_FALSE(restored.request_work(liar2, 100.0));
+  auto liar2 = restored.join("liar", 100.0);
+  EXPECT_FALSE(restored.request(liar2, 100.0));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SchedulerIntegrity, DepartedClientRowsEvictedAfterRetention) {

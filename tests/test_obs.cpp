@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "tests/toy_problem.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
+#include "util/vfs.hpp"
 
 namespace hdcs::obs {
 namespace {
@@ -413,50 +417,52 @@ TEST(MsgStats, UnitProfileSharedSchemaAcrossServerAndSim) {
   EXPECT_EQ(sim_keys, expected_keys);
 }
 
-TEST(MsgStats, CheckpointEventsShareSchemaAcrossServerAndSim) {
+TEST(MsgStats, DurabilityEventsShareSchemaAcrossServerAndSim) {
   test::register_toy_algorithm();
-  std::string path = ::testing::TempDir() + "hdcs_obs_ckpt.bin";
-  std::remove(path.c_str());
-  auto& saves = obs::Registry::global().counter("checkpoint.saves");
-  auto& requeued =
-      obs::Registry::global().counter("checkpoint.restore_units_requeued");
-  std::uint64_t saves_before = saves.value();
-  std::uint64_t requeued_before = requeued.value();
 
-  // Server (wall clock): save once with a unit in flight, restart from the
-  // file, and collect the checkpoint_saved / checkpoint_restored events.
+  // Server (wall clock): every fsync on its WAL fails while the scoped
+  // fault plan is installed, so the first accepted result degrades it;
+  // once the plan is gone the housekeeping re-arm restores durability.
+  std::string wal_dir = ::testing::TempDir() + "hdcs_obs_durability_wal";
+  std::filesystem::remove_all(wal_dir);
   obs::Tracer server_tracer;
   server_tracer.to_memory();
   ServerConfig cfg;
   cfg.scheduler.bounds.min_ops = 1000;
   cfg.policy_spec = "fixed:100000";
-  cfg.tick_interval_s = 0.05;
+  cfg.tick_interval_s = 0.02;
   cfg.no_work_retry_s = 0.02;
+  cfg.rearm_retry_s = 0.05;
   cfg.tracer = &server_tracer;
-  cfg.checkpoint_path = path;
+  cfg.wal_dir = wal_dir;
   {
     Server server(cfg);
-    server.start();
-    server.submit_problem(std::make_shared<test::ToySumDataManager>(400000));
-    ClientConfig ccfg;
-    ccfg.server_port = server.port();
-    ccfg.name = "saver";
-    ccfg.crash_after_units = 1;  // leaves its unit in flight
-    Client(ccfg).run();
-    ASSERT_TRUE(server.save_checkpoint());
-    server.stop();
-  }
-  {
-    Server server(cfg);  // restore_on_start picks the file up
     server.submit_problem(std::make_shared<test::ToySumDataManager>(400000));
     server.start();
+    {
+      vfs::StorageFaultSpec broken;
+      broken.sync_error_prob = 1.0;
+      broken.path_filter = "hdcs_obs_durability_wal";
+      vfs::ScopedStorageFaultPlan scoped(broken);
+      ClientConfig ccfg;
+      ccfg.server_port = server.port();
+      ccfg.name = "one-unit";
+      ccfg.crash_after_units = 2;  // one result submitted, then gone
+      Client(ccfg).run();
+      EXPECT_EQ(server.durability(), Server::Durability::kDegraded);
+    }
+    for (int i = 0; i < 500 &&
+                    server.durability() != Server::Durability::kDurable;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_EQ(server.durability(), Server::Durability::kDurable);
     server.stop();
   }
-  EXPECT_GE(saves.value(), saves_before + 1);
-  EXPECT_GE(requeued.value(), requeued_before + 1);
-  EXPECT_GT(obs::Registry::global().gauge("checkpoint.bytes").value(), 0.0);
+  std::filesystem::remove_all(wal_dir);
 
-  // Simulator (virtual clock): periodic autosaves during a toy run.
+  // Simulator (virtual clock): the same spec drawn per accepted result on
+  // its virtual WAL, re-armed on its tick cadence.
   obs::Tracer sim_tracer;
   sim_tracer.to_memory();
   sim::SimConfig simcfg;
@@ -465,16 +471,18 @@ TEST(MsgStats, CheckpointEventsShareSchemaAcrossServerAndSim) {
   simcfg.scheduler.bounds.min_ops = 1;
   simcfg.policy_spec = "adaptive:5";
   simcfg.tracer = &sim_tracer;
-  simcfg.checkpoint_interval_s = 0.25;  // well inside the virtual makespan
+  simcfg.storage_faults.seed = 11;
+  simcfg.storage_faults.sync_error_prob = 0.5;
   sim::SimDriver sim(simcfg, sim::lab_fleet(4));
-  sim.add_problem(std::make_shared<test::ToySumDataManager>(5000000));
+  sim.add_problem(std::make_shared<test::ToySumDataManager>(1000000));
   auto outcome = sim.run();
-  EXPECT_GT(outcome.checkpoints_saved, 0u);
+  EXPECT_GE(outcome.durability_degradations, 1u);
+  EXPECT_GE(outcome.durability_restores, 1u);
 
-  // The pinned schema: both emitters must produce checkpoint_saved with
-  // exactly these fields so one tool can read either trace.
-  auto saved_fields = [](const std::vector<std::string>& lines,
-                         const char* ev) {
+  // The pinned schema: both emitters must produce the two durability
+  // events with exactly these fields, and the same reason strings, so one
+  // tool can read either trace.
+  auto fields_of = [](const std::vector<std::string>& lines, const char* ev) {
     std::vector<std::string> keys;
     for (const auto& line : lines) {
       auto rec = obs::parse_trace_line(line);
@@ -486,21 +494,27 @@ TEST(MsgStats, CheckpointEventsShareSchemaAcrossServerAndSim) {
     }
     return keys;
   };
-  auto server_keys = saved_fields(server_tracer.lines(), "checkpoint_saved");
-  auto sim_keys = saved_fields(sim_tracer.lines(), "checkpoint_saved");
-  ASSERT_FALSE(server_keys.empty()) << "server emitted no checkpoint_saved";
-  ASSERT_FALSE(sim_keys.empty()) << "sim emitted no checkpoint_saved";
-  EXPECT_EQ(server_keys, sim_keys);
-  std::vector<std::string> expected_keys = {"bytes", "problems",
-                                            "units_in_flight"};
-  EXPECT_EQ(server_keys, expected_keys);
-
-  auto restored_keys =
-      saved_fields(server_tracer.lines(), "checkpoint_restored");
-  std::vector<std::string> expected_restore = {"problems", "units_quarantined",
-                                               "units_requeued"};
-  EXPECT_EQ(restored_keys, expected_restore);
-  std::remove(path.c_str());
+  auto reasons_of = [](const std::vector<std::string>& lines) {
+    std::set<std::string> reasons;
+    for (const auto& line : lines) {
+      auto rec = obs::parse_trace_line(line);
+      if (rec.ev == "durability_degraded") reasons.insert(rec.text("reason"));
+    }
+    return reasons;
+  };
+  const std::vector<std::string> degraded_keys = {"epoch", "reason"};
+  const std::vector<std::string> restored_keys = {"epoch"};
+  EXPECT_EQ(fields_of(server_tracer.lines(), "durability_degraded"),
+            degraded_keys);
+  EXPECT_EQ(fields_of(sim_tracer.lines(), "durability_degraded"),
+            degraded_keys);
+  EXPECT_EQ(fields_of(server_tracer.lines(), "durability_restored"),
+            restored_keys);
+  EXPECT_EQ(fields_of(sim_tracer.lines(), "durability_restored"),
+            restored_keys);
+  const std::set<std::string> wal_sync = {"wal_sync"};
+  EXPECT_EQ(reasons_of(server_tracer.lines()), wal_sync);
+  EXPECT_EQ(reasons_of(sim_tracer.lines()), wal_sync);
 }
 
 TEST(MsgStats, QuarantineSurfacedInStatsSnapshot) {

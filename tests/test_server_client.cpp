@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <optional>
 #include <thread>
 
 #include "dist/client.hpp"
 #include "dist/local_runner.hpp"
 #include "dist/server.hpp"
+#include "obs/trace.hpp"
 #include "tests/toy_problem.hpp"
 #include "util/logging.hpp"
 
@@ -234,6 +239,51 @@ TEST(Server, StopIsIdempotentAndStartableOnce) {
   EXPECT_GT(server.port(), 0);
   server.stop();
   server.stop();  // no crash
+}
+
+TEST(Server, StopDeliversTheFinalAckBeforeClosing) {
+  // One donor, one unit, and stop() issued the moment that unit's result
+  // merges, as a caller returning from wait_for_problem() would. The
+  // tracer hook holds the worker inside submit_result until stop() has
+  // begun tearing connections down, so the ResultAck is still being
+  // produced when the disconnect starts. stop() must deliver it: the donor
+  // counts its unit. (The donor is asked to stop after that unit, so it
+  // sends no further request to the departing server.)
+  test::register_toy_algorithm();
+  ClientConfig ccfg;
+  ccfg.name = "last-donor";
+  ccfg.max_connect_attempts = 1;
+  ccfg.send_heartbeats = false;
+  std::optional<Client> donor;
+  std::promise<void> merged;
+  std::atomic<bool> fired{false};
+  obs::Tracer tracer;
+  tracer.set_callback([&](const std::string& line) {
+    if (line.find("\"ev\":\"unit_completed\"") == std::string::npos ||
+        fired.exchange(true)) {
+      return;
+    }
+    donor->request_stop();
+    merged.set_value();
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  });
+  auto cfg = quick_server_config();
+  cfg.policy_spec = "fixed:1000000";  // the whole problem is one unit
+  cfg.tracer = &tracer;
+  Server server(cfg);
+  auto pid = server.submit_problem(std::make_shared<ToySumDataManager>(1000));
+  server.start();
+  ccfg.server_port = server.port();
+  donor.emplace(ccfg);
+  ClientRunStats stats;
+  std::thread runner([&] { stats = donor->run(); });
+  merged.get_future().wait();
+  server.stop();
+  runner.join();
+  EXPECT_TRUE(server.wait_for_problem(pid, 0));
+  EXPECT_EQ(stats.units_processed, 1u);
+  EXPECT_EQ(stats.reconnects, 0u);
+  EXPECT_EQ(stats.results_resubmitted, 0u);
 }
 
 }  // namespace

@@ -148,20 +148,47 @@ TEST(SimDriver, FaultRunsAreDeterministicPerSeed) {
   EXPECT_EQ(a.messages, b.messages);
 }
 
-TEST(SimDriver, VirtualTimeCheckpointsEmitted) {
+TEST(SimDriver, WalSyncVerdictDrawnPerAcceptedResult) {
+  // The storage-fault spec is drawn where the server fsyncs its WAL, on
+  // the virtual path "sim:wal". A disk whose every fsync fails degrades
+  // once (the server's transition: epoch +2, reason wal_sync) and never
+  // re-arms; a storm scoped to another path never touches the run. The
+  // answer is the same either way.
+  std::uint64_t expected = ToySumDataManager(1000000).expected();
+  obs::Tracer tracer;
+  tracer.to_memory();
   auto cfg = fast_config();
-  cfg.checkpoint_interval_s = 0.25;  // well inside the virtual makespan
-  SimDriver sim(cfg, lab_fleet(4));
-  auto pid = sim.add_problem(std::make_shared<ToySumDataManager>(5000000));
-  auto out = sim.run();
-  EXPECT_GT(out.checkpoints_saved, 0u);
-  EXPECT_EQ(test::read_u64_result(out.final_results.at(pid)),
-            ToySumDataManager(5000000).expected());
+  cfg.tracer = &tracer;
+  cfg.storage_faults.seed = 5;
+  cfg.storage_faults.sync_error_prob = 1.0;
+  SimDriver dead_disk(cfg, lab_fleet(4));
+  auto pid = dead_disk.add_problem(std::make_shared<ToySumDataManager>(1000000));
+  auto out = dead_disk.run();
+  EXPECT_EQ(test::read_u64_result(out.final_results.at(pid)), expected);
+  EXPECT_EQ(out.durability_degradations, 1u);
+  EXPECT_EQ(out.durability_restores, 0u);
+  int degraded_events = 0;
+  for (const auto& line : tracer.lines()) {
+    auto rec = obs::parse_trace_line(line);
+    if (rec.ev != "durability_degraded") continue;
+    degraded_events += 1;
+    EXPECT_EQ(rec.text("reason"), "wal_sync");
+    EXPECT_EQ(rec.number("epoch"), 3.0);
+  }
+  EXPECT_EQ(degraded_events, 1);
+
+  auto elsewhere = fast_config();
+  elsewhere.storage_faults.sync_error_prob = 1.0;
+  elsewhere.storage_faults.path_filter = "base.ckpt";
+  SimDriver untouched(elsewhere, lab_fleet(4));
+  auto pid2 = untouched.add_problem(std::make_shared<ToySumDataManager>(1000000));
+  auto out2 = untouched.run();
+  EXPECT_EQ(test::read_u64_result(out2.final_results.at(pid2)), expected);
+  EXPECT_EQ(out2.durability_degradations, 0u);
 }
 
 TEST(SimDriver, StorageFaultsDegradeAndRestoreWithoutChangingAnswers) {
   auto cfg = fast_config();
-  cfg.checkpoint_interval_s = 0.25;
   std::uint64_t expected = ToySumDataManager(1000000).expected();
 
   // Fault-free reference.
@@ -171,8 +198,8 @@ TEST(SimDriver, StorageFaultsDegradeAndRestoreWithoutChangingAnswers) {
   ASSERT_EQ(test::read_u64_result(base.final_results.at(pid)), expected);
   EXPECT_EQ(base.durability_degradations, 0u);
 
-  // Intermittent checkpoint fsync failures: the server mirror degrades on a
-  // failed save, re-arms on the next clean one, and the merged answer is
+  // Intermittent WAL fsync failures: the server mirror degrades on a
+  // failed sync, re-arms on a clean tick draw, and the merged answer is
   // byte-identical — disk faults cost durability windows, never results.
   auto cfg2 = cfg;
   cfg2.storage_faults.seed = 11;
@@ -188,7 +215,6 @@ TEST(SimDriver, StorageFaultsDegradeAndRestoreWithoutChangingAnswers) {
 TEST(SimDriver, StorageFaultRunsAreDeterministicPerSeed) {
   auto run_once = [] {
     auto cfg = fast_config();
-    cfg.checkpoint_interval_s = 0.25;
     cfg.storage_faults.seed = 3;
     cfg.storage_faults.sync_error_prob = 0.4;
     SimDriver sim(cfg, lab_fleet(4));
@@ -457,8 +483,8 @@ TEST(SimDriver, TraceMatchesRealServerEventOrder) {
     std::vector<std::string> evs;
     for (const auto& line : lines) {
       auto rec = obs::parse_trace_line(line);
-      // checkpoint/log are clock-driven chatter, not scheduling decisions.
-      if (rec.ev == "checkpoint" || rec.ev == "log") continue;
+      // log lines are clock-driven chatter, not scheduling decisions.
+      if (rec.ev == "log") continue;
       evs.push_back(rec.ev);
     }
     return evs;
