@@ -35,17 +35,17 @@ echo "== kernel equivalence pinned to AVX2 (HDCS_SIMD=avx2) =="
 HDCS_SIMD=avx2 ctest --test-dir build --output-on-failure -j"$(nproc)" \
   -R 'Simd|BatchKernel'
 
-echo "== TSan: obs + scheduler + integration + chaos + data-plane tests =="
+echo "== TSan: obs + scheduler + control plane + integration + chaos + data-plane tests =="
 cmake --preset tsan >/dev/null
-cmake --build --preset tsan --target test_obs test_dist test_integration test_chaos test_data_plane test_wal test_vfs -j >/dev/null
+cmake --build --preset tsan --target test_obs test_dist test_control_plane test_checkpoint test_integration test_chaos test_data_plane test_wal test_vfs -j >/dev/null
 ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
-  -R 'Metrics|Jsonl|Tracer|MsgStats|Wire|Scheduler|ServerClient|Granularity|Chaos|DataPlane|BulkV4|BlobCache|Compress|Wal|Vfs'
+  -R 'Metrics|Jsonl|Tracer|MsgStats|Wire|Scheduler|ControlPlane|Checkpoint\.|ServerClient|Granularity|Chaos|DataPlane|BulkV4|BlobCache|Compress|Wal|Vfs'
 
-echo "== ASan: kernel equivalence + SIMD tiers + chaos + data-plane =="
+echo "== ASan: kernel equivalence + SIMD tiers + control plane + chaos + data-plane =="
 cmake --preset asan >/dev/null
-cmake --build --preset asan --target test_bio test_properties test_simd test_dsearch test_chaos test_data_plane test_wal test_vfs test_checkpoint -j >/dev/null
+cmake --build --preset asan --target test_bio test_properties test_simd test_dsearch test_control_plane test_chaos test_data_plane test_wal test_vfs test_checkpoint -j >/dev/null
 ctest --test-dir build-asan --output-on-failure -j"$(nproc)" \
-  -R 'Simd|BatchKernel|AlignScore|Banded|NeedlemanWunsch|SmithWaterman|SemiGlobal|DSearch|Chaos|DataPlane|BulkV4|BlobCache|Compress|Wal|Vfs|CheckpointFile'
+  -R 'Simd|BatchKernel|AlignScore|Banded|NeedlemanWunsch|SmithWaterman|SemiGlobal|DSearch|ControlPlane|Checkpoint\.|Chaos|DataPlane|BulkV4|BlobCache|Compress|Wal|Vfs|CheckpointFile'
 
 echo "== bench_align --smoke (kernel equivalence + throughput snapshot) =="
 # Writes into build/ so a verify run never dirties the committed

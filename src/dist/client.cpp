@@ -5,6 +5,7 @@
 #include <cmath>
 #include <thread>
 
+#include "net/blob_cache.hpp"
 #include "net/bulk.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -18,12 +19,7 @@ namespace {
 /// FNV-1a of the donor name: a deterministic per-donor jitter seed, so a
 /// herd of reconnecting donors spreads out without shared state.
 std::uint64_t name_seed(const std::string& name) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : name) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+  return net::blob_digest(std::as_bytes(std::span(name)));
 }
 }  // namespace
 
@@ -265,7 +261,8 @@ void Client::rehello(net::TcpStream& stream, double benchmark) {
   LOG_INFO("client '" << config_.name << "' registered as id " << ack.client_id);
 }
 
-bool Client::connect_session(net::TcpStream& stream, double benchmark) {
+bool Client::connect_session(net::TcpStream& stream, double benchmark,
+                             bool mid_run) {
   int failures = 0;
   for (;;) {
     if (stop_.load() || crash_.load()) return false;
@@ -275,25 +272,21 @@ bool Client::connect_session(net::TcpStream& stream, double benchmark) {
       rehello(fresh, benchmark);
       stream = std::move(fresh);
       return true;
-    } catch (const IoError& e) {
+    } catch (const Error& e) {
+      // A refused connect, a corrupt HelloAck, or an unpromoted standby
+      // rejecting Hello with an error frame: same backoff, and the
+      // rotation below moves on to the next endpoint in the list.
       failures += 1;
       if (config_.max_connect_attempts > 0 &&
           failures >= config_.max_connect_attempts) {
-        throw;
+        if (!mid_run) throw;
+        // Mid-run, running out ends the work loop, not the run: the units
+        // already acknowledged stay in the stats run() returns.
+        LOG_WARN("client '" << config_.name << "' gave up reconnecting after "
+                            << failures << " attempts (" << e.what() << ")");
+        return false;
       }
-      LOG_DEBUG("client '" << config_.name << "' connect to " << ep.host << ":"
-                           << ep.port << " failed (" << e.what()
-                           << "); rotating");
-    } catch (const ProtocolError& e) {
-      // A corrupt HelloAck — or an unpromoted standby rejecting Hello with
-      // an error frame — counts like a failed connect: same backoff, and
-      // the rotation below moves on to the next endpoint in the list.
-      failures += 1;
-      if (config_.max_connect_attempts > 0 &&
-          failures >= config_.max_connect_attempts) {
-        throw;
-      }
-      LOG_DEBUG("client '" << config_.name << "' handshake with " << ep.host
+      LOG_DEBUG("client '" << config_.name << "' session with " << ep.host
                            << ":" << ep.port << " failed (" << e.what()
                            << "); rotating");
     }
@@ -313,7 +306,7 @@ ClientRunStats Client::run() {
   double benchmark = measure_benchmark() / std::max(config_.throttle, 1.0);
 
   net::TcpStream stream;
-  if (!connect_session(stream, benchmark)) {
+  if (!connect_session(stream, benchmark, /*mid_run=*/false)) {
     stats.retry_laters = retry_laters_;
     return stats;
   }
@@ -548,7 +541,7 @@ ClientRunStats Client::run() {
       LOG_WARN("client '" << config_.name << "' lost its session (" << e.what()
                           << "); reconnecting");
       if (pending) resubmitting = true;
-      if (!connect_session(stream, benchmark)) {
+      if (!connect_session(stream, benchmark, /*mid_run=*/true)) {
         session_ok = false;
         break;
       }
@@ -562,7 +555,7 @@ ClientRunStats Client::run() {
                           << e.what() << "); reconnecting");
       stream.close();
       if (pending) resubmitting = true;
-      if (!connect_session(stream, benchmark)) {
+      if (!connect_session(stream, benchmark, /*mid_run=*/true)) {
         session_ok = false;
         break;
       }

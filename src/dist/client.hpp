@@ -84,9 +84,10 @@ struct ClientConfig {
   /// submitted payload is byte-identical to single-threaded execution.
   /// Contrast run_pool(), which runs whole independent donors per CPU.
   std::size_t exec_threads = 1;
-  /// Consecutive failed connect+Hello attempts before the donor gives up
-  /// (run() throws IoError). 1 = fail fast (the pre-reconnect behaviour);
-  /// <= 0 = retry forever (service mode).
+  /// Consecutive failed connect+Hello attempts before the donor gives up:
+  /// on the first session run() throws IoError; on a session lost mid-run
+  /// run() stops and returns its stats. 1 = fail fast (the pre-reconnect
+  /// behaviour); <= 0 = retry forever (service mode).
   int max_connect_attempts = 8;
   /// Reconnect backoff: delay starts at backoff_initial_s, doubles per
   /// consecutive failure up to backoff_max_s, and each wait is scaled by a
@@ -188,7 +189,8 @@ class Client {
   explicit Client(ClientConfig config);
 
   /// Run the donor loop to completion (connects, works, says goodbye).
-  /// Throws IoError if the server is unreachable.
+  /// Throws IoError if the server is unreachable at the start; a server
+  /// lost for good mid-run ends the loop and returns the stats so far.
   ClientRunStats run();
 
   /// Ask a running client (from another thread) to stop after the current
@@ -243,9 +245,10 @@ class Client {
 
   /// Connect + Hello with exponential backoff. On success `stream` holds
   /// the new session and my_id_ is updated. Returns false if stop/crash
-  /// was requested while waiting; rethrows the last transport error once
-  /// max_connect_attempts consecutive failures accumulate.
-  bool connect_session(net::TcpStream& stream, double benchmark);
+  /// was requested while waiting. Once max_connect_attempts consecutive
+  /// failures accumulate it rethrows the last error, or, `mid_run`,
+  /// returns false so run() ends with the stats it has.
+  bool connect_session(net::TcpStream& stream, double benchmark, bool mid_run);
   /// Re-register on an existing connection (server restarted or expired
   /// our id): send Hello, adopt the newly assigned client id.
   void rehello(net::TcpStream& stream, double benchmark);

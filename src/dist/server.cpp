@@ -5,6 +5,7 @@
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <map>
 #include <cstdio>
 #include <sstream>
 #include <unordered_set>
@@ -28,43 +29,20 @@ namespace {
 // Measures decode + scheduling + encode, i.e. everything between reading
 // the request frame and writing the response frame.
 obs::Histogram* handler_histogram(net::MessageType type) {
-  auto& reg = obs::Registry::global();
-  auto make = [&reg](const char* name) {
-    return &reg.histogram(std::string("server.handle_s.") + name,
-                          obs::Histogram::latency_bounds());
-  };
-  switch (type) {
-    case net::MessageType::kHello: {
-      static obs::Histogram* h = make("Hello");
-      return h;
+  using T = net::MessageType;
+  static const auto table = [] {
+    std::map<T, obs::Histogram*> m;
+    for (T t : {T::kHello, T::kRequestWork, T::kSubmitResult, T::kHeartbeat,
+                T::kFetchProblemData, T::kFetchBlobs, T::kFetchStats}) {
+      m[t] = &obs::Registry::global().histogram(
+          std::string("server.handle_s.") + net::to_string(t),
+          obs::Histogram::latency_bounds());
     }
-    case net::MessageType::kRequestWork: {
-      static obs::Histogram* h = make("RequestWork");
-      return h;
-    }
-    case net::MessageType::kSubmitResult: {
-      static obs::Histogram* h = make("SubmitResult");
-      return h;
-    }
-    case net::MessageType::kHeartbeat: {
-      static obs::Histogram* h = make("Heartbeat");
-      return h;
-    }
-    case net::MessageType::kFetchProblemData: {
-      static obs::Histogram* h = make("FetchProblemData");
-      return h;
-    }
-    case net::MessageType::kFetchBlobs: {
-      static obs::Histogram* h = make("FetchBlobs");
-      return h;
-    }
-    case net::MessageType::kFetchStats: {
-      static obs::Histogram* h = make("FetchStats");
-      return h;
-    }
-    default:
-      return nullptr;  // Goodbye closes the connection; others are errors
-  }
+    return m;
+  }();
+  auto it = table.find(type);
+  // Goodbye closes the connection; others are errors.
+  return it == table.end() ? nullptr : it->second;
 }
 
 obs::Gauge& connected_gauge() {
@@ -91,13 +69,13 @@ LoopIoMetrics& loop_io_metrics() {
 }
 }  // namespace
 
-// One hot standby's outbound record queue. Handlers push (under
+// One hot standby's outbound record queue. The control plane pushes (under
 // core_mutex_, in core-mutation order) the same encoded payloads the WAL
 // stores; the replica connection's thread drains them into WalAppend
 // batches. A standby that stops acking while records pile up overflows and
 // is disconnected — it resyncs from a fresh snapshot instead of wedging
 // the primary on an unbounded queue.
-struct Server::ReplicaFeed {
+struct Server::ReplicaFeed : RecordSink {
   static constexpr std::size_t kMaxQueued = 1u << 16;
 
   std::mutex m;
@@ -105,7 +83,7 @@ struct Server::ReplicaFeed {
   std::deque<std::vector<std::byte>> q;
   bool overflow = false;
 
-  void push(const std::vector<std::byte>& rec) {
+  void push(const std::vector<std::byte>& rec) override {
     {
       std::lock_guard lock(m);
       if (q.size() >= kMaxQueued) {
@@ -175,9 +153,14 @@ struct Server::HandlerOutcome {
 
 Server::Server(ServerConfig config)
     : config_(std::move(config)),
-      core_(config_.scheduler, make_policy(config_.policy_spec)),
+      plane_(config_.scheduler, make_policy(config_.policy_spec),
+             {.tracer = config_.tracer,
+              .max_clients = config_.max_clients,
+              .fail_stop =
+                  config_.durability_mode == DurabilityMode::kFailStop,
+              .rearm_retry_s = config_.rearm_retry_s,
+              .compact_every = config_.wal_compact_every}),
       epoch_(std::chrono::steady_clock::now()) {
-  core_.set_tracer(config_.tracer);
   // 0=scalar 1=sse2 2=avx2 3=avx512 (util/simd.hpp); which kernel tier
   // this process dispatches — visible in metrics dumps and hdcs_top.
   obs::Registry::global().gauge("simd.tier")
@@ -194,49 +177,14 @@ double Server::now() const {
 void Server::start() {
   if (running_.exchange(true)) return;
   if (!config_.wal_dir.empty()) {
-    WalConfig wc;
-    wc.dir = config_.wal_dir;
-    wc.segment_bytes = config_.wal_segment_bytes;
-    wal_ = std::make_unique<WalLog>(wc);
-    wal_->set_tracer(config_.tracer);
-    WalRecovery rec = wal_->take_recovery();
-    if (rec.base_snapshot || !rec.tail.empty()) {
-      std::lock_guard lock(core_mutex_);
-      // Replay with the tracer detached: the recovered mutations were
-      // already traced by the previous life of this scheduler.
-      core_.set_tracer(nullptr);
-      if (rec.base_snapshot) {
-        ByteReader r(*rec.base_snapshot);
-        core_.restore_exact(r);
-        r.expect_end();
-      }
-      for (const WalRecord& wrec : rec.tail) apply_wal_record(core_, wrec);
-      core_.set_tracer(config_.tracer);
-      double t = now();
-      // New term: the torn-off tail may have held unsynced RequestWork
-      // records whose unit ids this core will reuse — fence their stale
-      // results by epoch, and sweep the dead connections' client rows.
-      enter_new_term("wal_recovery", t);
-      last_compact_lsn_ = wal_->next_lsn();
-      if (config_.tracer) {
-        config_.tracer->event(t, "wal_recovered")
-            .u64("records", rec.records_replayable)
-            .u64("lsn", wal_->next_lsn())
-            .u64("epoch", core_.epoch())
-            .u64("torn_bytes", rec.torn_bytes_truncated);
-      }
-      LOG_INFO("WAL recovery from " << config_.wal_dir << ": "
-               << rec.records_replayable << " records over "
-               << rec.segments_scanned << " segments, resuming at lsn "
-               << wal_->next_lsn() << " epoch " << core_.epoch());
-      progress_cv_.notify_all();
-    }
+    auto wal = std::make_unique<WalLog>(
+        WalConfig{config_.wal_dir, config_.wal_segment_bytes});
+    wal->set_tracer(config_.tracer);
+    WalRecovery rec = wal->take_recovery();
+    locked([&] { plane_.open_journal(std::move(wal), std::move(rec), now()); });
   }
-  if (wal_) repl_lsn_ = wal_->next_lsn();
-  durability_.store(
-      static_cast<int>(wal_ ? Durability::kDurable : Durability::kNone));
   obs::Registry::global().gauge("server.durability")
-      .set(static_cast<double>(durability_.load()));
+      .set(static_cast<double>(plane_.durability()));
   listener_ = net::TcpListener::bind(config_.port);
   port_ = listener_.port();
   if (!config_.primary_host.empty()) standby_.store(true);
@@ -334,46 +282,43 @@ void Server::stop() {
 
 ProblemId Server::submit_problem(std::shared_ptr<DataManager> dm) {
   std::lock_guard lock(core_mutex_);
-  ProblemId id = core_.submit_problem(std::move(dm));
+  ProblemId id = plane_.submit_problem(std::move(dm));
   progress_cv_.notify_all();
   return id;
 }
 
 bool Server::wait_for_problem(ProblemId id, double timeout_s) {
   std::unique_lock lock(core_mutex_);
-  auto done = [&] { return core_.problem_complete(id) || !running_.load(); };
+  auto done = [&] { return plane_.core().problem_complete(id) || !running_.load(); };
   if (timeout_s < 0) {
     progress_cv_.wait(lock, done);
   } else {
     progress_cv_.wait_for(lock, std::chrono::duration<double>(timeout_s), done);
   }
-  return core_.problem_complete(id);
+  return plane_.core().problem_complete(id);
 }
 
 bool Server::wait_for_all(double timeout_s) {
   std::unique_lock lock(core_mutex_);
-  auto done = [&] { return core_.all_complete() || !running_.load(); };
+  auto done = [&] { return plane_.core().all_complete() || !running_.load(); };
   if (timeout_s < 0) {
     progress_cv_.wait(lock, done);
   } else {
     progress_cv_.wait_for(lock, std::chrono::duration<double>(timeout_s), done);
   }
-  return core_.all_complete();
+  return plane_.core().all_complete();
 }
 
 std::vector<std::byte> Server::final_result(ProblemId id) {
-  std::lock_guard lock(core_mutex_);
-  return core_.final_result(id);
+  return locked([&] { return plane_.core().final_result(id); });
 }
 
 SchedulerStats Server::stats() {
-  std::lock_guard lock(core_mutex_);
-  return core_.stats();
+  return locked([&] { return plane_.core().stats(); });
 }
 
 std::vector<ClientInfo> Server::client_stats() {
-  std::lock_guard lock(core_mutex_);
-  return core_.all_client_stats();
+  return locked([&] { return plane_.core().all_client_stats(); });
 }
 
 namespace {
@@ -386,26 +331,22 @@ std::string json_num(double v) {
   }
   return buf;
 }
+
+constexpr const char* kDurabilityNames[] = {"none", "durable", "degraded"};
 }  // namespace
 
 std::string Server::stats_json(bool include_clients) {
-  SchedulerStats s;
-  std::vector<ClientInfo> clients;
-  std::uint64_t evicted_completed;
-  std::size_t pending;
-  std::uint64_t term;
-  std::uint64_t wal_lsn;
-  double t;
-  {
-    std::lock_guard lock(core_mutex_);
-    s = core_.stats();
-    if (include_clients) clients = core_.all_client_stats();
-    evicted_completed = core_.evicted_units_completed();
-    pending = core_.pending_units();
-    term = core_.epoch();
-    wal_lsn = wal_ ? wal_->next_lsn() : 0;
-    t = now();
-  }
+  const SchedulerCore& core = plane_.core();
+  std::unique_lock lock(core_mutex_);
+  const SchedulerStats s = core.stats();
+  const auto clients =
+      include_clients ? core.all_client_stats() : std::vector<ClientInfo>{};
+  const std::uint64_t evicted_completed = core.evicted_units_completed();
+  const std::size_t pending = core.pending_units();
+  const std::uint64_t term = core.epoch();
+  const std::uint64_t wal_lsn = plane_.journal_lsn();
+  const double t = now();
+  lock.unlock();
   // Mirrored as a gauge so registry-only consumers (render_text dumps,
   // hdcs_top's metrics pane) see the backlog too.
   obs::Registry::global().gauge("scheduler.units_pending")
@@ -415,10 +356,7 @@ std::string Server::stats_json(bool include_clients) {
       << ",\"simd_tier\":\"" << to_string(simd_tier()) << "\""
       << ",\"role\":\"" << (standby_.load() ? "standby" : "primary") << "\""
       << ",\"durability\":\""
-      << (durability() == Durability::kDurable
-              ? "durable"
-              : durability() == Durability::kDegraded ? "degraded" : "none")
-      << "\""
+      << kDurabilityNames[static_cast<int>(durability())] << "\""
       << ",\"epoch\":" << term << ",\"wal_lsn\":" << wal_lsn
       << ",\"connected_clients\":" << connected_.load() << ",\"scheduler\":{"
       << "\"units_issued\":" << s.units_issued
@@ -768,16 +706,7 @@ void Server::conn_disconnect(std::shared_ptr<Conn> c, const char* reason) {
 
 void Server::client_left_async(ClientId id) {
   workers_->submit([this, id] {
-    {
-      std::lock_guard lock(core_mutex_);
-      double t = now();
-      core_.client_left(id, t);
-      WalRecord rec;
-      rec.op = WalOp::kClientLeft;
-      rec.now = t;
-      rec.arg = id;
-      log_record(std::move(rec));
-    }
+    locked([&] { plane_.client_left(id, now()); });
     progress_cv_.notify_all();
   });
 }
@@ -811,44 +740,19 @@ void Server::detach_replica(const std::shared_ptr<Conn>& c,
 }
 
 void Server::housekeeping_loop() {
-  double last_rearm = now();
   double last_budget_check = now();
   while (running_.load()) {
     // A standby's shadow core is driven only by the primary's record
     // stream (which includes the primary's own Tick records with the
     // primary's clock); ticking it locally would double-expire leases.
     if (!standby_.load()) {
-      {
-        std::lock_guard lock(core_mutex_);
-        double t = now();
-        core_.tick(t);
-        WalRecord rec;
-        rec.op = WalOp::kTick;
-        rec.now = t;
-        log_record(std::move(rec));  // doubles as a replication keepalive
-        try {
-          maybe_compact_locked(t);
-        } catch (const Error& e) {
-          // A full disk must not kill scheduling; retry next interval.
-          LOG_ERROR("wal compaction failed: " << e.what());
-        }
-      }
+      locked([&] { plane_.tick(now()); });
       progress_cv_.notify_all();
-      // Degraded -> durable re-arm: rebuild the WAL on a steady cadence
-      // until the disk recovers.
-      if (static_cast<Durability>(durability_.load()) ==
-              Durability::kDegraded &&
-          !storage_failed_.load() &&
-          now() - last_rearm >= config_.rearm_retry_s) {
-        last_rearm = now();
-        try_rearm();
-      }
       // Disk-budget watchdog: compaction folds segments into one base
       // snapshot, so forcing it under pressure sheds WAL bytes before the
       // device itself runs dry (which would degrade us the hard way).
-      if (wal_ && config_.wal_dir_budget_bytes > 0 &&
-          static_cast<Durability>(durability_.load()) ==
-              Durability::kDurable &&
+      if (config_.wal_dir_budget_bytes > 0 &&
+          durability() == Durability::kDurable &&
           now() - last_budget_check >= 2.0) {
         last_budget_check = now();
         const std::uint64_t used = vfs::dir_bytes(config_.wal_dir);
@@ -873,8 +777,7 @@ void Server::housekeeping_loop() {
 }
 
 std::uint64_t Server::epoch() {
-  std::lock_guard lock(core_mutex_);
-  return core_.epoch();
+  return locked([&] { return plane_.core().epoch(); });
 }
 
 void Server::drain() {
@@ -883,155 +786,7 @@ void Server::drain() {
 }
 
 void Server::compact_wal() {
-  std::lock_guard lock(core_mutex_);
-  if (!wal_) return;
-  ByteWriter w;
-  core_.snapshot_exact(w);
-  auto snap = w.take();
-  wal_->compact(snap, now());
-  last_compact_lsn_ = wal_->next_lsn();
-}
-
-void Server::maybe_compact_locked(double t) {
-  if (!wal_ || config_.wal_compact_every == 0) return;
-  if (wal_->next_lsn() - last_compact_lsn_ < config_.wal_compact_every) return;
-  ByteWriter w;
-  core_.snapshot_exact(w);
-  auto snap = w.take();
-  wal_->compact(snap, t);
-  last_compact_lsn_ = wal_->next_lsn();
-}
-
-void Server::log_record(WalRecord rec) {
-  // While degraded the WAL is frozen (its segment failed; only compact()
-  // rebuilds it) — records flow to the replica feeds only, numbered by
-  // repl_lsn_, so a hot standby stays exact through the primary's bad-disk
-  // window.
-  const bool degraded = static_cast<Durability>(durability_.load()) ==
-                        Durability::kDegraded;
-  const bool use_wal = wal_ != nullptr && !degraded;
-  if (!use_wal && feeds_.empty()) return;
-  rec.lsn = use_wal ? wal_->next_lsn() : repl_lsn_;
-  bool append_failed = false;
-  if (use_wal) {
-    try {
-      wal_->append(rec);
-    } catch (const Error& e) {
-      // The record still goes out on the feeds below — the standby's
-      // shadow core must apply everything the primary's live core applied,
-      // or post-degrade records would hit a diverged shadow — and only
-      // then do we degrade (whose own kEpoch record is feeds-only).
-      LOG_ERROR("wal append failed: " << e.what());
-      append_failed = true;
-    }
-  }
-  repl_lsn_ = rec.lsn + 1;
-  if (!feeds_.empty()) {
-    auto bytes = encode_wal_record(rec);
-    for (const auto& feed : feeds_) feed->push(bytes);
-  }
-  if (append_failed) degrade_locked("wal_append", rec.now);
-}
-
-void Server::enter_new_term(const char* reason, double t) {
-  std::uint64_t next = core_.epoch() + 1;
-  core_.bump_epoch(next);
-  WalRecord rec;
-  rec.op = WalOp::kEpoch;
-  rec.now = t;
-  rec.arg = next;
-  log_record(std::move(rec));
-  // Every active client row belongs to the previous term — its connection
-  // died with the old server. Sweeping them requeues their leases now
-  // instead of waiting out the lease timeout; reconnecting donors re-Hello
-  // and get fresh ids.
-  for (const auto& c : core_.all_client_stats()) {
-    if (!c.active) continue;
-    core_.client_left(c.id, t);
-    WalRecord left;
-    left.op = WalOp::kClientLeft;
-    left.now = t;
-    left.arg = c.id;
-    log_record(std::move(left));
-  }
-  if (wal_ && !wal_->failed()) {
-    try {
-      wal_->sync();
-    } catch (const Error& e) {
-      LOG_ERROR("wal sync failed entering new term: " << e.what());
-      degrade_locked("wal_sync", t);
-    }
-  }
-  LOG_INFO("entered epoch " << core_.epoch() << " (" << reason << ")");
-}
-
-void Server::degrade_locked(const char* reason, double t) {
-  const auto current = static_cast<Durability>(durability_.load());
-  if (current != Durability::kDurable) return;
-  durability_.store(static_cast<int>(Durability::kDegraded));
-  auto& reg = obs::Registry::global();
-  reg.gauge("server.durability").set(static_cast<double>(durability_.load()));
-  reg.counter("server.durability_degradations").inc();
-  // The feeds take over the lsn sequence exactly where the WAL stopped.
-  if (wal_) repl_lsn_ = std::max(repl_lsn_, wal_->next_lsn());
-  // Fence the degraded window: +2, not +1, so a crash-while-degraded
-  // restart (replay durable state, then enter_new_term's +1) lands on a
-  // DIFFERENT epoch than this one — nothing issued or accepted while
-  // non-durable can ever be merged into the revived durable core.
-  const std::uint64_t next = core_.epoch() + 2;
-  core_.bump_epoch(next);
-  WalRecord rec;
-  rec.op = WalOp::kEpoch;
-  rec.now = t;
-  rec.arg = next;
-  log_record(std::move(rec));  // feeds-only: durability_ is already degraded
-  if (config_.tracer) {
-    config_.tracer->event(t, "durability_degraded")
-        .str("reason", reason)
-        .u64("epoch", next);
-  }
-  if (config_.durability_mode == DurabilityMode::kFailStop) {
-    storage_failed_.store(true);
-    draining_.store(true);
-    LOG_ERROR("durability lost (" << reason << "): fail-stop — draining, "
-              << "epoch " << next);
-  } else {
-    LOG_ERROR("durability degraded (" << reason << "): continuing non-durable "
-              << "at epoch " << next << "; re-arm every "
-              << config_.rearm_retry_s << "s");
-  }
-  progress_cv_.notify_all();
-}
-
-bool Server::try_rearm() {
-  std::lock_guard lock(core_mutex_);
-  if (static_cast<Durability>(durability_.load()) != Durability::kDegraded) {
-    return true;
-  }
-  const double t = now();
-  try {
-    // Rebuild: fresh base snapshot at the feeds' lsn, fresh segment. A
-    // still-broken disk throws out of the base.ckpt write and we stay
-    // degraded for the next retry.
-    ByteWriter w;
-    core_.snapshot_exact(w);
-    auto snap = w.take();
-    wal_->reset(snap, repl_lsn_, t);
-    wal_->sync();
-    last_compact_lsn_ = wal_->next_lsn();
-  } catch (const Error& e) {
-    LOG_WARN("durability re-arm failed: " << e.what());
-    return false;
-  }
-  durability_.store(static_cast<int>(Durability::kDurable));
-  auto& reg = obs::Registry::global();
-  reg.gauge("server.durability").set(static_cast<double>(durability_.load()));
-  reg.counter("server.durability_restores").inc();
-  if (config_.tracer) {
-    config_.tracer->event(t, "durability_restored").u64("epoch", core_.epoch());
-  }
-  LOG_INFO("durability restored (epoch " << core_.epoch() << ")");
-  return true;
+  locked([&] { plane_.compact(now()); });
 }
 
 Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
@@ -1063,14 +818,14 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
         // an error, drop the session, and fail over to the next endpoint
         // in their --servers list.
         response = net::make_error(request.correlation, "standby: not serving");
-      } else if (draining_.load() &&
+      } else if ((draining_.load() || storage_failed()) &&
                  (request.type == net::MessageType::kRequestWork ||
                   request.type == net::MessageType::kHeartbeat)) {
         // Graceful shutdown: in-flight submissions still land, but no new
         // work goes out and polling donors are told to disconnect.
         response.type = net::MessageType::kShutdown;
         response.correlation = request.correlation;
-      } else if (storage_failed_.load() &&
+      } else if (storage_failed() &&
                  (request.type == net::MessageType::kHello ||
                   request.type == net::MessageType::kSubmitResult)) {
         // Fail-stop after a storage fault: no new sessions, and results
@@ -1082,30 +837,15 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
       } else switch (request.type) {
         case net::MessageType::kHello: {
           auto hello = decode_hello(request);
-          std::lock_guard lock(core_mutex_);
-          double t = now();
-          if (config_.max_clients > 0 &&
-              core_.active_client_count() >= config_.max_clients) {
-            // Shed before joining: the donor never becomes scheduler state,
-            // so no lease/eviction bookkeeping is spent on it.
-            obs::Registry::global().counter("server.clients_shed").inc();
-            if (config_.tracer) {
-              config_.tracer->event(t, "retry_later")
-                  .str("reason", "max_clients")
-                  .str("name", hello.client_name);
-            }
+          auto joined = locked([&] {
+            return plane_.hello(hello.client_name, hello.benchmark_ops_per_sec,
+                                now());
+          });
+          if (!joined) {
             response = retry_later(request, "max_clients");
             break;
           }
-          client_id = core_.client_joined(hello.client_name,
-                                          hello.benchmark_ops_per_sec, t);
-          WalRecord rec;
-          rec.op = WalOp::kClientJoined;
-          rec.now = t;
-          rec.arg = client_id;
-          rec.name = hello.client_name;
-          rec.benchmark = hello.benchmark_ops_per_sec;
-          log_record(std::move(rec));
+          client_id = *joined;
           HelloAckPayload ack;
           ack.client_id = client_id;
           ack.heartbeat_interval_s = config_.heartbeat_interval_s;
@@ -1115,25 +855,13 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
         case net::MessageType::kRequestWork: {
           ClientId id = decode_request_work(request);
           std::lock_guard lock(core_mutex_);
-          double t = now();
-          auto unit = core_.request_work(id, t);
-          {
-            // Logged even when nothing was issued: an unserved request
-            // still mutates stats and policy state, and replay must walk
-            // the exact same path (an InputError above skips the log, the
-            // same way it skips the core mutation).
-            WalRecord rec;
-            rec.op = WalOp::kRequestWork;
-            rec.now = t;
-            rec.arg = id;
-            log_record(std::move(rec));
-          }
+          auto unit = plane_.request_work(id, now());
           if (unit) {
             response = encode_work_assignment(*unit, request.correlation);
           } else {
             NoWorkPayload p;
             p.retry_after_s = config_.no_work_retry_s;
-            p.all_problems_complete = core_.all_complete();
+            p.all_problems_complete = plane_.core().all_complete();
             response = encode_no_work(p, request.correlation);
           }
           break;
@@ -1141,35 +869,11 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
         case net::MessageType::kSubmitResult: {
           auto [id, result] = decode_submit_result(request);
           ResultAckPayload ack;
-          {
-            std::lock_guard lock(core_mutex_);
-            double t = now();
-            ack.accepted = core_.submit_result(id, result, t);
-            WalRecord rec;
-            rec.op = WalOp::kSubmitResult;
-            rec.now = t;
-            rec.arg = id;
-            rec.result = result;
-            log_record(std::move(rec));
-            // The accepted result must be durable before the donor learns
-            // it was accepted — the ack is what lets it drop its buffered
-            // copy, so after this fsync a kill -9 loses nothing. Once
-            // degraded there is nothing left to fsync; kContinue acks
-            // anyway (accepted-but-non-durable, epoch already fenced),
-            // kFailStop NACKs below so the donor keeps its copy.
-            if (wal_ && ack.accepted &&
-                static_cast<Durability>(durability_.load()) ==
-                    Durability::kDurable) {
-              try {
-                wal_->sync();
-              } catch (const Error& e) {
-                LOG_ERROR("wal sync failed: " << e.what());
-                degrade_locked("wal_sync", t);
-              }
-            }
-          }
+          ack.accepted = locked([&] {
+            return plane_.submit_result(id, std::move(result), now());
+          });
           progress_cv_.notify_all();
-          if (storage_failed_.load()) {
+          if (storage_failed()) {
             response = retry_later(request, "fail_stop");
           } else {
             response = encode_result_ack(ack, request.correlation);
@@ -1182,10 +886,10 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
           header.problem_id = fetch.problem_id;
           {
             std::lock_guard lock(core_mutex_);
-            const DataManager& dm = core_.data_manager(fetch.problem_id);
-            header.algorithm_name = dm.algorithm_name();
-            header.data_bytes = core_.problem_data_bytes(fetch.problem_id);
-            header.data_digest = core_.problem_data_digest(fetch.problem_id);
+            const SchedulerCore& core = plane_.core();
+            header.algorithm_name = core.data_manager(fetch.problem_id).algorithm_name();
+            header.data_bytes = core.problem_data_bytes(fetch.problem_id);
+            header.data_digest = core.problem_data_digest(fetch.problem_id);
           }
           response = encode_problem_data_header(header, request.correlation);
           break;
@@ -1196,7 +900,7 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
           {
             std::lock_guard lock(core_mutex_);
             for (std::uint64_t digest : fetch.digests) {
-              auto bytes = core_.blob_bytes(digest);
+              auto bytes = plane_.core().blob_bytes(digest);
               bool ok = bytes && bytes->size() <= config_.max_blob_bytes;
               reply.blobs.push_back({digest, ok});
               if (ok) blob_bodies.emplace_back(digest, std::move(bytes));
@@ -1233,16 +937,7 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
         }
         case net::MessageType::kHeartbeat: {
           ClientId id = decode_heartbeat(request);
-          {
-            std::lock_guard lock(core_mutex_);
-            double t = now();
-            core_.heartbeat(id, t);
-            WalRecord rec;
-            rec.op = WalOp::kHeartbeat;
-            rec.now = t;
-            rec.arg = id;
-            log_record(std::move(rec));
-          }
+          locked([&] { plane_.heartbeat(id, now()); });
           response.type = net::MessageType::kHeartbeatAck;
           response.correlation = request.correlation;
           break;
@@ -1256,16 +951,7 @@ Server::HandlerOutcome Server::handle_request(const std::shared_ptr<Conn>& c,
         }
         case net::MessageType::kGoodbye: {
           ClientId id = decode_goodbye(request);
-          {
-            std::lock_guard lock(core_mutex_);
-            double t = now();
-            core_.client_left(id, t);
-            WalRecord rec;
-            rec.op = WalOp::kClientLeft;
-            rec.now = t;
-            rec.arg = id;
-            log_record(std::move(rec));
-          }
+          locked([&] { plane_.client_left(id, now()); });
           progress_cv_.notify_all();
           // Client is gone: no response, drop the conn's id (the departure
           // is already recorded) and close once the queue drains.
@@ -1332,21 +1018,14 @@ void Server::serve_replica(net::TcpStream& stream, const net::Message& request) 
   try {
     auto hello = decode_replica_hello(request);
     standby_name = hello.standby_name;
+    // Registered under the same lock that serialises mutations: every
+    // record logged after the snapshot reaches the queue, so snapshot +
+    // stream covers the state with no gap.
+    ReplicaStart start = locked([&] { return plane_.attach_replica(feed); });
+    const std::vector<std::byte>& snapshot = start.snapshot;
     ReplicaSnapshotPayload header;
-    std::vector<std::byte> snapshot;
-    {
-      std::lock_guard lock(core_mutex_);
-      ByteWriter w;
-      core_.snapshot_exact(w);
-      snapshot = w.take();
-      header.epoch = core_.epoch();
-      // A failed WAL no longer tracks the stream position; repl_lsn_ does.
-      header.start_lsn = (wal_ && !wal_->failed()) ? wal_->next_lsn() : repl_lsn_;
-      // Registered under the same lock that serialises mutations: every
-      // record logged after this point reaches the queue, so snapshot +
-      // stream covers the state with no gap.
-      feeds_.push_back(feed);
-    }
+    header.epoch = start.epoch;
+    header.start_lsn = start.start_lsn;
     header.snapshot_bytes = snapshot.size();
     net::write_message(stream, encode_replica_snapshot(header, request.correlation));
     net::send_blob_v4(stream, snapshot);
@@ -1399,8 +1078,7 @@ void Server::serve_replica(net::TcpStream& stream, const net::Message& request) 
     LOG_WARN("replication to standby '" << standby_name
                                         << "' failed: " << e.what());
   }
-  std::lock_guard lock(core_mutex_);
-  std::erase(feeds_, feed);
+  locked([&] { plane_.detach_replica(feed); });
 }
 
 void Server::replica_loop() {
@@ -1422,28 +1100,11 @@ void Server::replica_loop() {
       auto header = decode_replica_snapshot(resp);
       auto snapshot = net::recv_blob_v4(
           stream, static_cast<std::size_t>(header.snapshot_bytes) + 1024);
-      {
-        std::lock_guard lock(core_mutex_);
-        ByteReader r(snapshot);
-        core_.restore_exact(r);
-        r.expect_end();
-        repl_lsn_ = header.start_lsn;
-        if (wal_) {
-          wal_->reset(snapshot, header.start_lsn, now());
-          wal_->sync();
-          last_compact_lsn_ = header.start_lsn;
-        }
-      }
+      locked([&] { plane_.follow_snapshot(snapshot, header.start_lsn, now()); });
       standby_synced_.store(true);
       last_contact = clock::now();
       progress_cv_.notify_all();
       obs::Registry::global().gauge("server.standby_synced").set(1);
-      if (config_.tracer) {
-        config_.tracer->event(now(), "standby_synced")
-            .u64("epoch", header.epoch)
-            .u64("lsn", header.start_lsn)
-            .u64("snapshot_bytes", snapshot.size());
-      }
       LOG_INFO("standby synced from " << config_.primary_host << ":"
                << config_.primary_port << " (epoch " << header.epoch
                << ", lsn " << header.start_lsn << ")");
@@ -1463,16 +1124,7 @@ void Server::replica_loop() {
                               net::to_string(m.type));
         }
         auto batch = decode_wal_append(m);
-        {
-          std::lock_guard lock(core_mutex_);
-          for (const auto& bytes : batch.records) {
-            WalRecord rec = decode_wal_record(bytes);
-            if (wal_) wal_->append(rec);  // primary's lsn, kept verbatim
-            repl_lsn_ = rec.lsn + 1;
-            apply_wal_record(core_, rec);
-          }
-          if (wal_) wal_->sync();
-        }
+        locked([&] { plane_.follow_records(batch.records); });
         progress_cv_.notify_all();
         ResultAckPayload ack;
         ack.accepted = true;
@@ -1493,23 +1145,10 @@ void Server::replica_loop() {
 }
 
 void Server::promote(const char* reason) {
-  double t;
-  std::uint64_t new_epoch;
-  {
-    std::lock_guard lock(core_mutex_);
-    t = now();
-    enter_new_term(reason, t);
-    new_epoch = core_.epoch();
+  locked([&] {
+    plane_.promote(reason, now());
     standby_.store(false);
-  }
-  obs::Registry::global().counter("server.failovers").inc();
-  if (config_.tracer) {
-    config_.tracer->event(t, "failover_promoted")
-        .u64("epoch", new_epoch)
-        .str("reason", reason);
-  }
-  LOG_INFO("standby promoted to primary (epoch " << new_epoch
-                                                 << "): " << reason);
+  });
   progress_cv_.notify_all();
 }
 

@@ -1,5 +1,6 @@
 #pragma once
-// TCP server: wraps SchedulerCore with the framed-message protocol.
+// TCP server: puts a ControlPlane (dist/control_plane.hpp) behind the
+// framed-message protocol.
 //
 // Thread model (event-loop, fixed thread budget):
 //   - io_threads epoll EventLoops (loop 0 also owns the listener); each
@@ -25,8 +26,7 @@
 #include <thread>
 #include <vector>
 
-#include "dist/scheduler_core.hpp"
-#include "dist/wal.hpp"
+#include "dist/control_plane.hpp"
 #include "net/bulk.hpp"
 #include "net/event_loop.hpp"
 #include "net/message.hpp"
@@ -172,13 +172,11 @@ class Server {
 
   /// Durability state surfaced in MSG_STATS and hdcs_top. kNone = no WAL
   /// configured (nothing to degrade from).
-  enum class Durability { kNone = 0, kDurable = 1, kDegraded = 2 };
-  [[nodiscard]] Durability durability() const {
-    return static_cast<Durability>(durability_.load());
-  }
+  using Durability = dist::Durability;
+  [[nodiscard]] Durability durability() const { return plane_.durability(); }
   /// True once a fail-stop server has hit a storage fault: it is draining
   /// and the embedding process should stop it and exit non-zero.
-  [[nodiscard]] bool storage_failed() const { return storage_failed_.load(); }
+  [[nodiscard]] bool storage_failed() const { return plane_.storage_failed(); }
 
   /// True while running as a hot standby that has not yet promoted.
   [[nodiscard]] bool is_standby() const { return standby_.load(); }
@@ -223,22 +221,20 @@ class Server {
   void serve_replica(net::TcpStream& stream, const net::Message& hello);
   void replica_loop();  // standby: sync + tail the primary, promote on silence
   void promote(const char* reason);
-  // All four require core_mutex_ held.
-  void log_record(WalRecord rec);
-  void enter_new_term(const char* reason, double t);
-  void maybe_compact_locked(double t);
-  void degrade_locked(const char* reason, double t);
-  /// Housekeeping: attempt the degraded -> durable transition (WAL
-  /// rebuild). Takes the core lock itself.
-  bool try_rearm();
   double now() const;
+  /// Run `f` under core_mutex_: every ControlPlane call goes through here.
+  template <typename F>
+  auto locked(F&& f) {
+    std::lock_guard lock(core_mutex_);
+    return f();
+  }
 
   ServerConfig config_;
   net::TcpListener listener_;
   std::uint16_t port_ = 0;
 
   std::mutex core_mutex_;
-  SchedulerCore core_;
+  ControlPlane plane_;  // guarded by core_mutex_
   std::condition_variable progress_cv_;
 
   std::atomic<bool> running_{false};
@@ -253,22 +249,10 @@ class Server {
   std::vector<std::thread> replica_threads_;
   std::chrono::steady_clock::time_point epoch_;
 
-  // WAL + replication state. wal_, repl_lsn_ and feeds_ are guarded by
-  // core_mutex_ (records are logged in core-mutation order).
-  std::unique_ptr<WalLog> wal_;
-  std::uint64_t repl_lsn_ = 1;  // next stream lsn when no WAL is configured
-  std::uint64_t last_compact_lsn_ = 1;
-  std::vector<std::shared_ptr<ReplicaFeed>> feeds_;
   std::atomic<bool> standby_{false};
   std::atomic<bool> standby_synced_{false};
   std::atomic<bool> draining_{false};
   std::thread replica_;
-
-  // Durability state machine + overload accounting. durability_ holds a
-  // Durability value; transitions happen under core_mutex_ (reads are
-  // lock-free for stats/guards).
-  std::atomic<int> durability_{0};
-  std::atomic<bool> storage_failed_{false};
   std::atomic<std::uint64_t> blob_inflight_bytes_{0};
 };
 

@@ -106,14 +106,30 @@ struct WalRecovery {
   std::size_t torn_bytes_truncated = 0;
 };
 
-class WalLog {
+/// The durability seam a ControlPlane writes through: append records in
+/// lsn order, sync them, restart the log from a snapshot. WalLog is the
+/// disk implementation; the simulator's virtual disk is the other.
+class Journal {
+ public:
+  virtual ~Journal() = default;
+  /// Both throw on failure.
+  virtual std::uint64_t append(const WalRecord& rec) = 0;
+  virtual void sync() = 0;
+  /// Discard the log and restart it at `start_lsn` with `snapshot` as its
+  /// base (compaction, re-arm after a fault, a standby's sync).
+  virtual void reset(std::span<const std::byte> snapshot,
+                     std::uint64_t start_lsn, double now) = 0;
+  [[nodiscard]] virtual std::uint64_t next_lsn() const = 0;
+};
+
+class WalLog final : public Journal {
  public:
   /// Opens (creating the directory if needed) and recovers: validates the
   /// base snapshot, walks the segments, truncates any torn tail in place,
   /// and positions the log to append at next_lsn. Throws IoError on
   /// filesystem failure, ProtocolError on a corrupt base snapshot.
   explicit WalLog(WalConfig config);
-  ~WalLog();
+  ~WalLog() override;
 
   WalLog(const WalLog&) = delete;
   WalLog& operator=(const WalLog&) = delete;
@@ -127,7 +143,7 @@ class WalLog {
   /// standby tailing the primary) must equal next_lsn(). Returns the lsn
   /// written. Rotates segments as configured. On a write or rotation
   /// failure the log enters the failed state (see failed()) and throws.
-  std::uint64_t append(const WalRecord& rec);
+  std::uint64_t append(const WalRecord& rec) override;
 
   /// fsync the current segment: every record appended so far is durable.
   /// On failure the log enters the failed state and throws — the segment
@@ -135,7 +151,7 @@ class WalLog {
   /// may have dropped the dirty pages, so re-fsyncing would falsely report
   /// success); the only way back is compact(), which rebuilds from a fresh
   /// snapshot.
-  void sync();
+  void sync() override;
 
   /// Fold everything logged so far into a new base snapshot: write
   /// base.ckpt (atomic tmp+rename), delete the old segments, start a
@@ -151,9 +167,9 @@ class WalLog {
   /// base. A standby calls this when it receives the ReplicaSnapshot, so
   /// its directory is a valid WAL from the stream's first record on.
   void reset(std::span<const std::byte> snapshot, std::uint64_t start_lsn,
-             double now);
+             double now) override;
 
-  [[nodiscard]] std::uint64_t next_lsn() const { return next_lsn_; }
+  [[nodiscard]] std::uint64_t next_lsn() const override { return next_lsn_; }
   [[nodiscard]] const std::string& dir() const { return config_.dir; }
   [[nodiscard]] std::size_t segment_count() const { return segments_.size(); }
   /// True after a write/fsync/rotation failure: append() and sync() refuse

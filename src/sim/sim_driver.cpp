@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "dist/client.hpp"
 #include "net/bulk.hpp"
 #include "net/compress.hpp"
 #include "obs/metrics.hpp"
@@ -13,16 +14,6 @@
 namespace hdcs::sim {
 
 namespace {
-/// FNV-1a over bytes; used to key the result cache by problem identity.
-std::uint64_t fnv64(std::span<const std::byte> data) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::byte b : data) {
-    h ^= static_cast<std::uint8_t>(b);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 constexpr double kControlBytes = 32;  // request/ack payloads are tiny
 
 // Fixed per-blob framing of the bulk format (raw size + CRC + flags +
@@ -30,11 +21,36 @@ constexpr double kControlBytes = 32;  // request/ack payloads are tiny
 // byte accounting.
 constexpr double kBlobV4HeaderBytes = 8 + 4 + 1 + 8 + 4;
 
-// Virtual reconnect backoff under injected connect faults — mirrors the
-// real donor's ClientConfig defaults so simulated and TCP chaos agree.
-constexpr double kJoinBackoffInitial = 0.05;
-constexpr double kJoinBackoffMax = 2.0;
-constexpr double kJoinBackoffJitter = 0.25;
+/// The simulator's virtual disk. The control plane syncs where the server
+/// fsyncs its WAL (once per accepted result while durable, once per
+/// re-arm); each sync draws the "sim:wal" write verdict for the last
+/// appended result's bytes, then an fsync verdict, from a LOCAL plan.
+struct SimJournal final : dist::Journal {
+  explicit SimJournal(const vfs::StorageFaultSpec& spec) : plan(spec) {}
+  std::uint64_t append(const dist::WalRecord& rec) override {
+    bytes = rec.result.payload.size();
+    lsn = rec.lsn + 1;
+    return rec.lsn;
+  }
+  void sync() override {
+    std::size_t keep = 0;
+    if (plan.write_fault("sim:wal", bytes, keep) !=
+            vfs::StorageFaultPlan::WriteFault::kNone ||
+        plan.fail_sync("sim:wal")) {
+      throw IoError("sim:wal: injected storage fault");
+    }
+  }
+  void reset(std::span<const std::byte>, std::uint64_t start_lsn,
+             double) override {
+    lsn = start_lsn;
+    bytes = 0;
+  }
+  [[nodiscard]] std::uint64_t next_lsn() const override { return lsn; }
+
+  vfs::StorageFaultPlan plan;
+  std::size_t bytes = 0;
+  std::uint64_t lsn = 1;
+};
 }  // namespace
 
 double SimOutcome::mean_utilization() const {
@@ -46,14 +62,17 @@ double SimOutcome::mean_utilization() const {
 
 SimDriver::SimDriver(SimConfig config, std::vector<MachineSpec> fleet)
     : config_(std::move(config)),
-      core_(config_.scheduler, dist::make_policy(config_.policy_spec)),
+      plane_(config_.scheduler, dist::make_policy(config_.policy_spec),
+             {.tracer = config_.tracer,
+              .max_clients = config_.max_clients,
+              .rearm_retry_s = 0}),  // one re-arm attempt per tick
       rng_(config_.seed) {
-  core_.set_tracer(config_.tracer);
   if (config_.faults.any()) {
     fault_plan_ = std::make_unique<net::FaultPlan>(config_.faults);
   }
   if (config_.storage_faults.any()) {
-    storage_plan_ = std::make_unique<vfs::StorageFaultPlan>(config_.storage_faults);
+    plane_.open_journal(std::make_unique<SimJournal>(config_.storage_faults),
+                        {}, 0);
   }
   machines_.reserve(fleet.size());
   for (auto& spec : fleet) {
@@ -71,7 +90,7 @@ SimDriver::~SimDriver() = default;
 
 dist::ProblemId SimDriver::add_problem(std::shared_ptr<dist::DataManager> dm) {
   if (ran_) throw Error("SimDriver: add_problem after run()");
-  dist::ProblemId id = core_.submit_problem(dm);
+  dist::ProblemId id = plane_.submit_problem(dm);
   ProblemCtx ctx;
   ctx.dm = std::move(dm);
   problems_.emplace(id, std::move(ctx));
@@ -116,8 +135,8 @@ double SimDriver::transfer(double ready_at, double payload_bytes) {
   double done = start + (payload_bytes + config_.network.frame_overhead_bytes) /
                             config_.network.bandwidth_bps;
   link_busy_until_ = done;
-  bytes_ += payload_bytes + config_.network.frame_overhead_bytes;
-  messages_ += 1;
+  out_.bytes_transferred += payload_bytes + config_.network.frame_overhead_bytes;
+  out_.messages += 1;
   return done;
 }
 
@@ -133,17 +152,12 @@ std::vector<std::byte> SimDriver::execute_unit(const dist::WorkUnit& unit) {
   ProblemCtx& ctx = problems_.at(unit.problem_id);
   std::string key;
   if (cache_) {
-    // Key on (problem data hash, blob digests, unit payload) — stable
+    // Key on (problem data digest, blob digests, unit payload) — stable
     // across SimDriver instances so fleet-size sweeps share one cache. The
     // digests matter: blob-bearing units may have identical (even empty)
     // payloads and differ only in the content they reference.
-    if (!ctx.data_hashed) {
-      auto data = ctx.dm->problem_data();
-      ctx.data_hash = fnv64(data);
-      ctx.data_hashed = true;
-    }
     key.reserve(16 + 21 * unit.blobs.size() + unit.payload.size());
-    key.append(std::to_string(ctx.data_hash));
+    key.append(std::to_string(plane_.core().problem_data_digest(unit.problem_id)));
     for (const auto& blob : unit.blobs) {
       key.push_back('/');
       key.append(std::to_string(blob.digest));
@@ -153,10 +167,10 @@ std::vector<std::byte> SimDriver::execute_unit(const dist::WorkUnit& unit) {
                unit.payload.size());
     auto cached = cache_->find(key);
     if (cached != cache_->end()) {
-      cache_hits_ += 1;
+      out_.cache_hits += 1;
       return cached->second;
     }
-    cache_misses_ += 1;
+    out_.cache_misses += 1;
   }
   if (!ctx.algorithm) {
     ctx.algorithm = config_.registry->create(ctx.dm->algorithm_name());
@@ -183,7 +197,7 @@ double SimDriver::deliver_blob(Machine& m, double ready, std::uint64_t digest,
                                std::span<const std::byte> bytes) {
   auto& bm = net::bulk_plane_metrics();
   if (m.have_blobs.count(digest)) {
-    blob_cache_hits_ += 1;
+    out_.blob_cache_hits += 1;
     bm.blobs_cache_hit.inc();
     if (config_.tracer) {
       config_.tracer->event(queue_.now(), "blob_cache_hit")
@@ -196,9 +210,9 @@ double SimDriver::deliver_blob(Machine& m, double ready, std::uint64_t digest,
   double wire = blob_wire_bytes(digest, bytes);
   double done = transfer(ready, wire) + config_.network.latency_s;
   m.have_blobs.insert(digest);
-  blobs_sent_ += 1;
-  blob_bytes_raw_ += static_cast<double>(bytes.size());
-  blob_bytes_wire_ += wire;
+  out_.blobs_sent += 1;
+  out_.blob_bytes_raw += static_cast<double>(bytes.size());
+  out_.blob_bytes_wire += wire;
   bm.blobs_sent.inc();
   bm.bytes_raw.inc(bytes.size());
   bm.bytes_wire.inc(static_cast<std::uint64_t>(wire));
@@ -214,76 +228,73 @@ double SimDriver::deliver_blob(Machine& m, double ready, std::uint64_t digest,
   return done;
 }
 
+void SimDriver::retry(EventQueue::Callback action) {
+  queue_.schedule(queue_.now() + config_.no_work_retry_s, std::move(action));
+}
+
 bool SimDriver::frame_lost() {
   if (!fault_plan_ || !fault_plan_->frame_fault()) return false;
-  frames_retransmitted_ += 1;
+  out_.frames_retransmitted += 1;
   return true;
 }
 
-void SimDriver::refresh_session(Machine& m) {
+bool SimDriver::hello(std::size_t idx) {
+  Machine& m = machines_[idx];
   double benchmark = config_.reference_ops_per_sec * m.spec.speed *
                      m.spec.availability_mean;
-  m.client_id = core_.client_joined(m.spec.name, benchmark, queue_.now());
-  m.session = server_session_;
+  auto id = plane_.hello(m.spec.name, benchmark, queue_.now());
+  if (!id) {  // shed (max_clients) at handling time, like the server
+    m.alive = false;
+    m.generation += 1;
+    join_backoff(idx);
+    return false;
+  }
+  m.client_id = *id;
+  m.session = plane_.counts().failovers;
+  m.join_backoff = 0;
+  return true;
+}
+
+void SimDriver::join_backoff(std::size_t idx) {
+  // Back off exactly like a real donor's reconnect loop (doubling, capped,
+  // jittered, from ClientConfig's defaults) — the machine never gives up.
+  static const dist::ClientConfig donor;
+  Machine& m = machines_[idx];
+  m.join_backoff = m.join_backoff <= 0
+                       ? donor.backoff_initial_s
+                       : std::min(m.join_backoff * 2, donor.backoff_max_s);
+  double jitter = 1.0 + donor.backoff_jitter * m.rng.uniform(-1.0, 1.0);
+  queue_.schedule(queue_.now() + m.join_backoff * jitter,
+                  [this, idx] { machine_join(idx); });
 }
 
 void SimDriver::primary_kill() {
-  if (core_.all_complete()) return;
+  if (plane_.core().all_complete()) return;
   // The hot standby's shadow core is, by construction, a replay of the
-  // primary's record stream — model the handoff by round-tripping the
-  // scheduler through its exact snapshot bytes, the same bytes the TCP
-  // standby holds. From here until promotion the server answers nothing.
+  // primary's record stream — model the handoff by syncing from the
+  // primary's exact snapshot bytes, the same bytes the TCP standby holds.
+  // From here until promotion the server answers nothing.
   ByteWriter w;
-  core_.snapshot_exact(w);
-  auto snap = w.take();
-  ByteReader r(snap);
-  core_.restore_exact(r);
-  r.expect_end();
+  plane_.core().snapshot_exact(w);
+  plane_.follow_snapshot(w.data(), plane_.journal_lsn(), queue_.now());
   server_down_ = true;
-  if (config_.tracer) {
-    config_.tracer->event(queue_.now(), "standby_synced")
-        .u64("epoch", core_.epoch())
-        .u64("lsn", 0)
-        .u64("snapshot_bytes", snap.size());
-  }
   queue_.schedule(queue_.now() + config_.failover_delay_s, [this] {
-    // Promotion: new term, then sweep the dead primary's client rows so
-    // their leases requeue now. Machines re-Hello on their next exchange;
-    // results they computed under the deposed term are fenced by epoch.
-    double t = queue_.now();
-    std::uint64_t next = core_.epoch() + 1;
-    core_.bump_epoch(next);
-    for (const auto& c : core_.all_client_stats()) {
-      if (c.active) core_.client_left(c.id, t);
-    }
-    server_session_ += 1;
+    // Machines re-Hello on their next exchange; results they computed
+    // under the deposed term are fenced by epoch.
+    plane_.promote("sim_primary_kill", queue_.now());
     server_down_ = false;
-    failovers_ += 1;
-    if (config_.tracer) {
-      config_.tracer->event(t, "failover_promoted")
-          .u64("epoch", next)
-          .str("reason", "sim_primary_kill");
-    }
   });
 }
 
 void SimDriver::machine_join(std::size_t idx) {
   Machine& m = machines_[idx];
   if (server_down_) {
-    queue_.schedule(queue_.now() + config_.no_work_retry_s,
-                    [this, idx] { machine_join(idx); });
+    retry([this, idx] { machine_join(idx); });
     return;
   }
   if (fault_plan_ && fault_plan_->refuse_connect()) {
-    // Connection refused: back off exactly like a real donor (doubling,
-    // capped, jittered) and try again — the machine never gives up.
-    joins_refused_ += 1;
-    m.join_backoff = m.join_backoff <= 0
-                         ? kJoinBackoffInitial
-                         : std::min(m.join_backoff * 2, kJoinBackoffMax);
-    double jitter = 1.0 + kJoinBackoffJitter * m.rng.uniform(-1.0, 1.0);
-    queue_.schedule(queue_.now() + m.join_backoff * jitter,
-                    [this, idx] { machine_join(idx); });
+    out_.joins_refused += 1;
+    join_backoff(idx);
     return;
   }
   m.alive = true;
@@ -303,33 +314,10 @@ void SimDriver::machine_join(std::size_t idx) {
     Machine& mm = machines_[idx];
     if (!mm.alive || mm.generation != gen) return;
     if (server_down_) {  // the primary died while the Hello was in flight
-      queue_.schedule(queue_.now() + config_.no_work_retry_s,
-                      [this, idx] { machine_join(idx); });
+      retry([this, idx] { machine_join(idx); });
       return;
     }
-    if (config_.max_clients > 0 &&
-        core_.active_client_count() >= config_.max_clients) {
-      // Overload shed (ServerConfig::max_clients mirror): the Hello is
-      // NACKed with retry_later at handling time — the same point the real
-      // server sheds — and the machine rides the capped join backoff a
-      // refused connect uses.
-      joins_shed_ += 1;
-      if (config_.tracer) {
-        config_.tracer->event(queue_.now(), "retry_later")
-            .str("reason", "max_clients")
-            .str("name", mm.spec.name);
-      }
-      mm.alive = false;
-      mm.join_backoff = mm.join_backoff <= 0
-                            ? kJoinBackoffInitial
-                            : std::min(mm.join_backoff * 2, kJoinBackoffMax);
-      double jitter = 1.0 + kJoinBackoffJitter * mm.rng.uniform(-1.0, 1.0);
-      queue_.schedule(queue_.now() + mm.join_backoff * jitter,
-                      [this, idx] { machine_join(idx); });
-      return;
-    }
-    mm.join_backoff = 0;
-    refresh_session(mm);
+    if (!hello(idx)) return;
     double reply_at = transfer(handled, kControlBytes) + config_.network.latency_s;
     queue_.schedule(reply_at, [this, idx, gen] { machine_request_work(idx, gen); });
   });
@@ -341,7 +329,7 @@ void SimDriver::machine_leave(std::size_t idx) {
   m.generation += 1;  // invalidate in-flight events
   m.alive = false;
   if (!m.spec.crash_on_leave) {
-    core_.client_left(m.client_id, queue_.now());
+    plane_.client_left(m.client_id, queue_.now());
   }
   if (m.spec.rejoin_time >= 0 && m.spec.rejoin_time > queue_.now()) {
     queue_.schedule(m.spec.rejoin_time, [this, idx] { machine_join(idx); });
@@ -357,15 +345,13 @@ void SimDriver::machine_request_work(std::size_t idx, int gen) {
   if (server_down_) {
     // Dead primary: the donor's request fails and it retries with backoff
     // until the standby promotes and starts answering.
-    queue_.schedule(queue_.now() + config_.no_work_retry_s,
-                    [this, idx, gen] { machine_request_work(idx, gen); });
+    retry([this, idx, gen] { machine_request_work(idx, gen); });
     return;
   }
   if (frame_lost()) {
     // Torn RequestWork exchange: over TCP the donor tears the session down
     // and retransmits on a fresh one; in virtual time that is a pure delay.
-    queue_.schedule(queue_.now() + config_.no_work_retry_s,
-                    [this, idx, gen] { machine_request_work(idx, gen); });
+    retry([this, idx, gen] { machine_request_work(idx, gen); });
     return;
   }
   double send_at = queue_.now() + (fault_plan_ ? fault_plan_->delay_s() : 0);
@@ -376,19 +362,18 @@ void SimDriver::machine_request_work(std::size_t idx, int gen) {
     Machine& mm = machines_[idx];
     if (!mm.alive || mm.generation != gen) return;
     if (server_down_) {  // killed while the request was in flight
-      queue_.schedule(queue_.now() + config_.no_work_retry_s,
-                      [this, idx, gen] { machine_request_work(idx, gen); });
+      retry([this, idx, gen] { machine_request_work(idx, gen); });
       return;
     }
     // A promoted standby swept the old client rows: the TCP donor would
-    // get an error frame and re-Hello on the same connection; mirror that
-    // before asking for work.
-    if (mm.session != server_session_) refresh_session(mm);
+    // get an error frame and re-Hello on the same connection; so does this
+    // one before asking for work.
+    if (mm.session != plane_.counts().failovers && !hello(idx)) return;
 
     const double lease_start = queue_.now();  // == the lease's issued_at
-    auto unit = core_.request_work(mm.client_id, queue_.now());
+    auto unit = plane_.request_work(mm.client_id, queue_.now());
     if (!unit) {
-      if (core_.all_complete()) return;  // donor goes quiet; run is over
+      if (plane_.core().all_complete()) return;  // donor goes quiet; run is over
       double reply_at =
           transfer(queue_.now(), kControlBytes) + config_.network.latency_s;
       queue_.schedule(reply_at + config_.no_work_retry_s,
@@ -403,14 +388,15 @@ void SimDriver::machine_request_work(std::size_t idx, int gen) {
     double ready = queue_.now();
     if (std::find(mm.have_data.begin(), mm.have_data.end(),
                   unit->problem_id) == mm.have_data.end()) {
-      std::uint64_t pdata_digest = core_.problem_data_digest(unit->problem_id);
-      if (auto pdata = core_.blob_bytes(pdata_digest)) {
+      std::uint64_t pdata_digest =
+          plane_.core().problem_data_digest(unit->problem_id);
+      if (auto pdata = plane_.core().blob_bytes(pdata_digest)) {
         ready = deliver_blob(mm, ready, pdata_digest, *pdata);
       }
       mm.have_data.push_back(unit->problem_id);
     }
     for (auto& blob : unit->blobs) {
-      auto bytes = core_.blob_bytes(blob.digest);
+      auto bytes = plane_.core().blob_bytes(blob.digest);
       if (!bytes) {
         // Unreachable by construction (an issued unit pins its blobs), but
         // a hard error beats silently computing on missing input.
@@ -482,10 +468,9 @@ void SimDriver::machine_submit(std::size_t idx, int gen,
   if (server_down_) {
     // Dead primary: the donor buffers the computed result across its
     // reconnect attempts and resubmits once a server answers.
-    queue_.schedule(queue_.now() + config_.no_work_retry_s,
-                    [this, idx, gen, r = std::move(result)]() mutable {
-                      machine_submit(idx, gen, std::move(r));
-                    });
+    retry([this, idx, gen, r = std::move(result)]() mutable {
+      machine_submit(idx, gen, std::move(r));
+    });
     return;
   }
   double submit_at = queue_.now();
@@ -504,41 +489,25 @@ void SimDriver::machine_submit(std::size_t idx, int gen,
                                 res_handled]() mutable {
     Machine& m3 = machines_[idx];
     if (server_down_) {  // killed while the result frame was in flight
-      queue_.schedule(queue_.now() + config_.no_work_retry_s,
-                      [this, idx, gen, r = std::move(r)]() mutable {
-                        machine_submit(idx, gen, std::move(r));
-                      });
+      retry([this, idx, gen, r = std::move(r)]() mutable {
+        machine_submit(idx, gen, std::move(r));
+      });
       return;
     }
     // Promoted standby since we last said Hello: re-register first — the
     // result still carries the deposed term's epoch, so the fence (not
     // the fresh client id) decides its fate.
-    if (m3.session != server_session_ && m3.alive && m3.generation == gen) {
-      refresh_session(m3);
+    if (m3.session != plane_.counts().failovers && m3.alive &&
+        m3.generation == gen && !hello(idx)) {
+      return;
     }
-    const bool accepted = core_.submit_result(m3.client_id, r, queue_.now());
-    // The server fsyncs its WAL before acking an accepted result; a failed
-    // write or fsync takes its degrade_locked transition: +2, not +1, so a
-    // crash-while-degraded restart lands on a different epoch than this
-    // one.
-    if (accepted && storage_plan_ && !degraded_ &&
-        wal_write_fails(r.payload.size())) {
-      degraded_ = true;
-      durability_degradations_ += 1;
-      std::uint64_t next = core_.epoch() + 2;
-      core_.bump_epoch(next);
-      if (config_.tracer) {
-        config_.tracer->event(queue_.now(), "durability_degraded")
-            .str("reason", "wal_sync")
-            .u64("epoch", next);
-      }
-    }
+    plane_.submit_result(m3.client_id, std::move(r), queue_.now());
     // Record completion times as problems finish.
     for (auto& [pid, pctx] : problems_) {
       if (!pctx.complete_recorded && pctx.dm->is_complete()) {
         pctx.complete_recorded = true;
-        completion_time_[pid] = queue_.now();
-        last_completion_ = queue_.now();
+        out_.completion_time_s[pid] = queue_.now();
+        out_.makespan_s = queue_.now();
       }
     }
     if (!m3.alive || m3.generation != gen) return;
@@ -555,18 +524,8 @@ void SimDriver::schedule_tick() {
     }
     // A dead primary ticks nothing; the standby's shadow core is driven by
     // the (now silent) record stream, not a local clock.
-    if (!server_down_) core_.tick(queue_.now());
-    // Degraded: one WAL rebuild attempt per tick, the server's
-    // housekeeping re-arm cadence.
-    if (degraded_ && !server_down_ && !wal_write_fails(0)) {
-      degraded_ = false;
-      durability_restores_ += 1;
-      if (config_.tracer) {
-        config_.tracer->event(queue_.now(), "durability_restored")
-            .u64("epoch", core_.epoch());
-      }
-    }
-    if (core_.all_complete()) return;
+    if (!server_down_) plane_.tick(queue_.now());
+    if (plane_.core().all_complete()) return;
     bool any_donor_left = false;
     for (const auto& m : machines_) {
       if (m.alive || !m.ever_joined ||
@@ -581,13 +540,6 @@ void SimDriver::schedule_tick() {
     }
     schedule_tick();
   });
-}
-
-bool SimDriver::wal_write_fails(std::size_t bytes) {
-  std::size_t keep = 0;
-  return storage_plan_->write_fault("sim:wal", bytes, keep) !=
-             vfs::StorageFaultPlan::WriteFault::kNone ||
-         storage_plan_->fail_sync("sim:wal");
 }
 
 SimOutcome SimDriver::run() {
@@ -608,9 +560,9 @@ SimOutcome SimDriver::run() {
     queue_.schedule(config_.primary_kill_time_s, [this] { primary_kill(); });
   }
 
-  queue_.run_until([this] { return core_.all_complete(); });
+  queue_.run_until([this] { return plane_.core().all_complete(); });
 
-  if (!core_.all_complete()) {
+  if (!plane_.core().all_complete()) {
     throw Error("simulation ended with incomplete problems (all donors gone?)");
   }
 
@@ -619,31 +571,19 @@ SimOutcome SimDriver::run() {
   // (client_left is idempotent, so machines that already left are safe).
   for (auto& m : machines_) {
     if (m.alive) {
-      core_.client_left(m.client_id, queue_.now());
+      plane_.client_left(m.client_id, queue_.now());
       m.alive = false;
       m.generation += 1;
     }
   }
 
-  SimOutcome out;
-  out.makespan_s = last_completion_;
-  out.scheduler = core_.stats();
-  out.messages = messages_;
-  out.bytes_transferred = bytes_;
+  SimOutcome out = std::move(out_);
+  out.scheduler = plane_.core().stats();
   out.events_executed = queue_.executed();
-  out.cache_hits = cache_hits_;
-  out.cache_misses = cache_misses_;
-  out.frames_retransmitted = frames_retransmitted_;
-  out.joins_refused = joins_refused_;
-  out.failovers = failovers_;
-  out.durability_degradations = durability_degradations_;
-  out.durability_restores = durability_restores_;
-  out.joins_shed = joins_shed_;
-  out.blobs_sent = blobs_sent_;
-  out.blob_cache_hits = blob_cache_hits_;
-  out.blob_bytes_raw = blob_bytes_raw_;
-  out.blob_bytes_wire = blob_bytes_wire_;
-  out.completion_time_s = completion_time_;
+  out.failovers = plane_.counts().failovers;
+  out.durability_degradations = plane_.counts().durability_degradations;
+  out.durability_restores = plane_.counts().durability_restores;
+  out.joins_shed = plane_.counts().clients_shed;
   for (const auto& m : machines_) {
     MachineOutcome mo;
     mo.name = m.spec.name;

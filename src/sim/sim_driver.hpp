@@ -1,7 +1,8 @@
 #pragma once
 // Discrete-event simulation of the distributed system.
 //
-// Drives the *real* SchedulerCore and the *real* application DataManagers /
+// Drives the *real* ControlPlane (SchedulerCore plus the server's durability,
+// shedding and failover policy) and the *real* application DataManagers /
 // Algorithms, but replaces wall-clock compute and network transfer with a
 // cost model in virtual time. Each unit's result payload is produced by
 // actually executing the registered Algorithm (so merged answers are
@@ -23,9 +24,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "dist/control_plane.hpp"
 #include "dist/data_manager.hpp"
 #include "dist/registry.hpp"
-#include "dist/scheduler_core.hpp"
 #include "net/fault.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fleet.hpp"
@@ -66,30 +67,21 @@ struct SimConfig {
   /// charge a retransmit penalty on the request/submit paths. Faults cost
   /// virtual time and messages, never results.
   net::FaultSpec faults;
-  /// Virtual-time mirror of the hot-standby failover chaos (>= 0 = on): at
-  /// this instant the primary dies — scheduler state round-trips through
-  /// its exact snapshot bytes into the standby's shadow core
-  /// (standby_synced event) and the server stops answering. After
-  /// failover_delay_s the standby promotes: epoch bump + client sweep
-  /// (failover_promoted event). Machines retry through the outage, re-Hello
-  /// on their next exchange, and results computed under the deposed term
-  /// are fenced by epoch exactly like the TCP path.
+  /// Hot-standby failover chaos (>= 0 = on): at this instant the primary
+  /// dies — a standby syncs from its exact snapshot bytes and the server
+  /// stops answering — and failover_delay_s later the standby promotes
+  /// (ControlPlane::promote). Machines retry through the outage and
+  /// re-Hello; results computed under the deposed term are fenced.
   double primary_kill_time_s = -1;
   double failover_delay_s = 0.5;
-  /// Virtual-time mirror of the storage-fault chaos, sharing
-  /// vfs::StorageFaultSpec with the real disk layer. A LOCAL plan (never
-  /// installed globally) is drawn where the server fsyncs its WAL: one
-  /// "sim:wal" write + sync verdict per accepted result. A failed verdict
-  /// takes the TCP server's exact durable -> degraded transition (epoch
-  /// +2, durability_degraded with reason wal_sync); while degraded, each
-  /// tick makes one re-arm draw (the housekeeping cadence), and a clean
-  /// one restores durability (durability_restored). Results are never
-  /// lost — only the durable window moves, exactly like
-  /// DurabilityMode::kContinue.
+  /// Storage-fault chaos, sharing vfs::StorageFaultSpec with the real disk
+  /// layer: when set, the control plane journals to a virtual disk that
+  /// draws a "sim:wal" write + fsync verdict per sync (never installed
+  /// globally), degrades like the server (DurabilityMode::kContinue) and
+  /// re-arms once per tick. Results are never lost.
   vfs::StorageFaultSpec storage_faults;
-  /// Overload mirror of ServerConfig::max_clients: a machine whose join
-  /// would exceed this many active clients is shed with a retry_later
-  /// event and retries with the donor's capped join backoff. 0 = off.
+  /// ServerConfig::max_clients: a shed machine retries with the donor's
+  /// capped join backoff. 0 = off.
   int max_clients = 0;
 };
 
@@ -120,7 +112,7 @@ struct SimOutcome {
   /// transitions taken and degraded -> durable recoveries.
   std::uint64_t durability_degradations = 0;
   std::uint64_t durability_restores = 0;
-  /// Joins shed by the max_clients overload mirror (each retries later).
+  /// Joins shed by max_clients (each retries later).
   std::uint64_t joins_shed = 0;
   /// Bulk-data plane (mirrors the TCP bulk.* counters): blobs actually
   /// shipped over the virtual link vs transfers avoided because the
@@ -175,9 +167,8 @@ class SimDriver {
     /// plane for that data again, so neither does the simulated one.
     std::vector<dist::ProblemId> have_data;
     double join_backoff = 0;  // current reconnect delay under connect faults
-    /// Which server incarnation this machine's client id belongs to; when
-    /// it trails server_session_ (a standby promoted), the next exchange
-    /// re-Hellos for a fresh id first — the TCP donor's error-frame path.
+    /// Failovers seen at this machine's Hello; after a promotion the next
+    /// exchange re-Hellos first (the TCP donor's error-frame path).
     std::uint64_t session = 0;
   };
 
@@ -185,8 +176,6 @@ class SimDriver {
     std::shared_ptr<dist::DataManager> dm;
     std::unique_ptr<dist::Algorithm> algorithm;  // lazily initialized
     bool complete_recorded = false;
-    std::uint64_t data_hash = 0;     // cached FNV of problem_data()
-    bool data_hashed = false;
   };
 
   // --- simulation mechanics ---
@@ -194,10 +183,12 @@ class SimDriver {
   void machine_request_work(std::size_t idx, int gen);
   void machine_submit(std::size_t idx, int gen, dist::ResultUnit result);
   void machine_leave(std::size_t idx);
-  /// Re-Hello a machine whose session predates the current server
-  /// incarnation (fresh client id, same blob cache — the donor process
-  /// survived, only the server changed).
-  void refresh_session(Machine& m);
+  /// Hello through the control plane: on joining, and again after a
+  /// promotion (fresh id, same blob cache). A shed Hello puts the machine
+  /// on the join backoff and returns false.
+  bool hello(std::size_t idx);
+  /// Retry the join after the donor's capped, jittered reconnect backoff.
+  void join_backoff(std::size_t idx);
   void primary_kill();
   double transfer(double ready_at, double payload_bytes);  // shared link FIFO
   /// Wall-clock time to accrue `compute_s` of donor CPU on machine m,
@@ -216,9 +207,8 @@ class SimDriver {
                       std::span<const std::byte> bytes);
   double availability_draw(Machine& m);
   void schedule_tick();
-  /// The virtual disk's verdict on one "sim:wal" write of `bytes` plus its
-  /// fsync; true = either failed.
-  bool wal_write_fails(std::size_t bytes);
+  /// Schedule `action` after no_work_retry_s (a failed exchange's retry).
+  void retry(EventQueue::Callback action);
   /// Draws a frame fault for one control exchange; true = the frame was
   /// torn and the caller should retransmit after a penalty.
   bool frame_lost();
@@ -226,35 +216,17 @@ class SimDriver {
   SimConfig config_;
   std::vector<Machine> machines_;
   EventQueue queue_;
-  dist::SchedulerCore core_;
+  dist::ControlPlane plane_;
   std::map<dist::ProblemId, ProblemCtx> problems_;
   std::shared_ptr<ResultCache> cache_;
   std::unique_ptr<net::FaultPlan> fault_plan_;
-  std::unique_ptr<vfs::StorageFaultPlan> storage_plan_;  // local, not installed
   Rng rng_;
 
   double link_busy_until_ = 0;
   double server_busy_until_ = 0;
-  std::uint64_t messages_ = 0;
-  double bytes_ = 0;
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t cache_misses_ = 0;
-  std::uint64_t frames_retransmitted_ = 0;
-  std::uint64_t joins_refused_ = 0;
   bool server_down_ = false;        // between primary kill and promotion
-  std::uint64_t server_session_ = 1;  // bumped at promotion
-  std::uint64_t failovers_ = 0;
-  bool degraded_ = false;  // storage-fault chaos durability state
-  std::uint64_t durability_degradations_ = 0;
-  std::uint64_t durability_restores_ = 0;
-  std::uint64_t joins_shed_ = 0;
   std::map<std::uint64_t, double> blob_wire_bytes_;  // digest -> wire cost
-  std::uint64_t blobs_sent_ = 0;
-  std::uint64_t blob_cache_hits_ = 0;
-  double blob_bytes_raw_ = 0;
-  double blob_bytes_wire_ = 0;
-  double last_completion_ = 0;
-  std::map<dist::ProblemId, double> completion_time_;
+  SimOutcome out_;  // counters accumulate here as the run goes
   bool ran_ = false;
 };
 

@@ -1,7 +1,7 @@
 // Checkpoint/restart through the write-ahead log: a server restart in the
-// middle of a computation must lose nothing. Each scenario drives a core
-// whose every mutation is logged the way Server logs it (tests/wal_core.hpp),
-// "crashes" it, and recovers a fresh core from the WAL directory — base
+// middle of a computation must lose nothing. Each scenario drives the
+// server's ControlPlane over a WAL directory (tests/wal_core.hpp), "crashes"
+// it, and recovers a fresh one from the directory — base
 // checkpoint plus tail replay, then a new term — the path Server::start()
 // takes. Merged progress survives via DataManager snapshots and replay;
 // leases held by the dead incarnation's donors are requeued; results
@@ -35,7 +35,7 @@ namespace {
 using test::fresh_wal_dir;
 using test::run_unit;
 using test::ToySumDataManager;
-using test::WalCore;
+using test::WalPlane;
 
 SchedulerConfig cfg() {
   SchedulerConfig c;
@@ -46,7 +46,7 @@ SchedulerConfig cfg() {
 
 /// Drive `core` for `steps` request/submit cycles.
 template <typename Algo>
-void drive(WalCore& core, ClientId cid, Algo& algo, int steps, double& t) {
+void drive(WalPlane& core, ClientId cid, Algo& algo, int steps, double& t) {
   for (int i = 0; i < steps; ++i) {
     auto unit = core.request(cid, t);
     if (!unit) return;
@@ -57,7 +57,7 @@ void drive(WalCore& core, ClientId cid, Algo& algo, int steps, double& t) {
 
 /// Finish every problem of a recovered core with one fresh donor.
 template <typename Algo>
-void finish(WalCore& core, Algo& algo, double& t) {
+void finish(WalPlane& core, Algo& algo, double& t) {
   auto c = core.join("finisher", t);
   int spins = 0;
   while (!core.core().all_complete()) {
@@ -83,7 +83,7 @@ TEST(Checkpoint, ToyProblemSurvivesRestartMidRun) {
   double t = 0;
   {
     // Run 1: part of the work done, two units left in flight, then crash.
-    WalCore core1(dir, cfg(), 5000, {make_dm()});
+    WalPlane core1(dir, cfg(), 5000, {make_dm()});
     auto c1 = core1.join("c1", t);
     drive(core1, c1, algo, 3, t);
     ASSERT_TRUE(core1.request(c1, t));
@@ -91,7 +91,7 @@ TEST(Checkpoint, ToyProblemSurvivesRestartMidRun) {
   }
   // Run 2: same problem inputs, recovered from the log, finished.
   auto dm2 = make_dm();
-  WalCore core2(dir, cfg(), 5000, {dm2}, t);
+  WalPlane core2(dir, cfg(), 5000, {dm2}, t);
   ASSERT_TRUE(core2.recovered());
   EXPECT_EQ(core2.core().epoch(), 2u);
   finish(core2, algo, t);
@@ -106,7 +106,7 @@ TEST(Checkpoint, RestoreValidatesShape) {
   test::register_toy_algorithm();
   std::string dir = fresh_wal_dir("ckpt_shape");
   {
-    WalCore core(dir, cfg(), 100, {std::make_shared<ToySumDataManager>(1000)});
+    WalPlane core(dir, cfg(), 100, {std::make_shared<ToySumDataManager>(1000)});
     auto c = core.join("c", 0.0);
     ASSERT_TRUE(core.request(c, 0.0));
     core.compact(0.5);  // the base checkpoint now records one problem
@@ -114,13 +114,13 @@ TEST(Checkpoint, RestoreValidatesShape) {
   // Recovering against a different problem set is refused outright —
   // replaying one job's log onto another job's problems would merge
   // garbage.
-  EXPECT_THROW(WalCore(dir, cfg(), 100, {}), ProtocolError);
-  EXPECT_THROW(WalCore(dir, cfg(), 100,
+  EXPECT_THROW(WalPlane(dir, cfg(), 100, {}), ProtocolError);
+  EXPECT_THROW(WalPlane(dir, cfg(), 100,
                        {std::make_shared<ToySumDataManager>(1000),
                         std::make_shared<ToySumDataManager>(1000)}),
                ProtocolError);
   // The refused attempts changed nothing: the right problems still recover.
-  WalCore ok(dir, cfg(), 100, {std::make_shared<ToySumDataManager>(1000)});
+  WalPlane ok(dir, cfg(), 100, {std::make_shared<ToySumDataManager>(1000)});
   EXPECT_TRUE(ok.recovered());
   std::filesystem::remove_all(dir);
 }
@@ -146,13 +146,13 @@ TEST(Checkpoint, DSearchResumeMatchesUninterrupted) {
   std::string dir = fresh_wal_dir("ckpt_dsearch");
   double t = 0;
   {
-    WalCore core1(dir, cfg(), 2e5, {make_dm()});
+    WalPlane core1(dir, cfg(), 2e5, {make_dm()});
     auto c1 = core1.join("c1", t);
     drive(core1, c1, algo, 2, t);
     ASSERT_TRUE(core1.request(c1, t));  // one unit left in flight
   }
   auto dm2 = make_dm();
-  WalCore core2(dir, cfg(), 2e5, {dm2}, t);
+  WalPlane core2(dir, cfg(), 2e5, {dm2}, t);
   ASSERT_TRUE(core2.recovered());
   EXPECT_EQ(core2.core().stats().results_accepted, 2u);  // replayed
   finish(core2, algo, t);
@@ -182,14 +182,14 @@ TEST(Checkpoint, DPRmlResumeMidStageMatchesSerial) {
   std::string dir = fresh_wal_dir("ckpt_dprml");
   double t = 0;
   {
-    WalCore core1(dir, cfg(), 1.0, {make_dm()});
+    WalPlane core1(dir, cfg(), 1.0, {make_dm()});
     auto c1 = core1.join("c1", t);
     // Get into the middle of an eval stage, with one candidate in flight.
     drive(core1, c1, algo, 4, t);
     core1.request(c1, t);  // may be nullopt at a barrier — also fine
   }
   auto dm2 = make_dm();
-  WalCore core2(dir, cfg(), 1.0, {dm2}, t);
+  WalPlane core2(dir, cfg(), 1.0, {dm2}, t);
   ASSERT_TRUE(core2.recovered());
   EXPECT_GT(core2.core().stats().results_accepted, 0u);  // replayed
   finish(core2, algo, t);
@@ -256,7 +256,7 @@ TEST(Checkpoint, HedgedDuplicateInFlightAcrossRestoreDropped) {
   std::optional<WorkUnit> original;
   std::optional<WorkUnit> hedged;
   {
-    WalCore core1(dir, c, 1000, {std::make_shared<ToySumDataManager>(1000, 3)});
+    WalPlane core1(dir, c, 1000, {std::make_shared<ToySumDataManager>(1000, 3)});
     auto slow = core1.join("slow", 0.0);
     auto fast = core1.join("fast", 0.0);
     original = core1.request(slow, 0.0);
@@ -266,7 +266,7 @@ TEST(Checkpoint, HedgedDuplicateInFlightAcrossRestoreDropped) {
     ASSERT_EQ(hedged->unit_id, original->unit_id);
   }
   auto dm2 = std::make_shared<ToySumDataManager>(1000, 3);
-  WalCore core2(dir, c, 1000, {dm2}, 2.0);
+  WalPlane core2(dir, c, 1000, {dm2}, 2.0);
   // Both racers' leases died with their connections: one copy requeued.
   EXPECT_EQ(core2.core().pending_units(), 1u);
 
@@ -299,17 +299,22 @@ TEST(Checkpoint, PreCrashLeaseFencedByEpochAfterWalRecovery) {
 
   std::optional<WorkUnit> lost;
   {
-    WalCore core1(dir, cfg(), 1000,
+    WalPlane core1(dir, cfg(), 1000,
                   {std::make_shared<ToySumDataManager>(10000)});
     auto c1 = core1.join("c1", 0.0);
-    core1.sync();
-    // A lease whose RequestWork record never reached the disk (a power
-    // loss tears the unsynced tail off): the recovered core never saw it.
-    lost = core1.core().request_work(c1, 1.0);
+    lost = core1.request(c1, 1.0);
     ASSERT_TRUE(lost);
   }
+  // A power loss tears the unsynced tail off: the lease's RequestWork
+  // record never reached the disk, so the recovered core never saw it.
+  const std::string segment = dir + "/wal-0000000000000001.seg";
+  WalRecord torn;
+  torn.op = WalOp::kRequestWork;
+  std::filesystem::resize_file(segment,
+                               std::filesystem::file_size(segment) - 8 -
+                                   encode_wal_record(torn).size());
   auto dm2 = std::make_shared<ToySumDataManager>(10000);
-  WalCore core2(dir, cfg(), 1000, {dm2}, 2.0);
+  WalPlane core2(dir, cfg(), 1000, {dm2}, 2.0);
   ASSERT_TRUE(core2.recovered());
 
   // No id gap: the recovered core hands the lost unit id out again, under
@@ -349,7 +354,7 @@ TEST(Checkpoint, AttemptCountsAndQuarantineSurviveRestore) {
 
   {
     // Burn attempt 1 before the crash.
-    WalCore core1(dir, c, 1000, {one_unit()});
+    WalPlane core1(dir, c, 1000, {one_unit()});
     auto c1 = core1.join("c1", 0.0);
     ASSERT_TRUE(core1.request(c1, 0.0));
     core1.tick(20.0);  // expired: attempt 1 of 2 burned, unit requeued
@@ -357,7 +362,7 @@ TEST(Checkpoint, AttemptCountsAndQuarantineSurviveRestore) {
 
   // The recovered core remembers the burned attempt: one more failure
   // quarantines the unit instead of starting the count over.
-  WalCore core2(dir, c, 1000, {one_unit()}, 21.0);
+  WalPlane core2(dir, c, 1000, {one_unit()}, 21.0);
   auto c2 = core2.join("c2", 21.0);
   auto second = core2.request(c2, 21.0);  // attempt 2
   ASSERT_TRUE(second);
@@ -369,10 +374,9 @@ TEST(Checkpoint, AttemptCountsAndQuarantineSurviveRestore) {
   // Quarantine itself survives recovery: a third incarnation (from a copy
   // of the log as it stands) still refuses to reissue the unit, and the
   // late result of the second incarnation's lease is fenced there.
-  core2.sync();
   std::filesystem::copy(dir, copy, std::filesystem::copy_options::recursive);
   {
-    WalCore core3(copy, c, 1000, {one_unit()}, 50.0);
+    WalPlane core3(copy, c, 1000, {one_unit()}, 50.0);
     auto c4 = core3.join("c4", 50.0);
     EXPECT_FALSE(core3.request(c4, 50.0).has_value());
     EXPECT_EQ(core3.core().stats().units_quarantined, 1u);

@@ -424,7 +424,7 @@ TEST(SchedulerIntegrity, VoteStateSurvivesCheckpointRestore) {
   std::string dir = test::fresh_wal_dir("integrity_vote_state");
   std::optional<WorkUnit> unit;
   {
-    test::WalCore core(dir, cfg, 500, {dm});
+    test::WalPlane core(dir, cfg, 500, {dm});
     auto c1 = core.join("c1", 0.0);
     auto c2 = core.join("c2", 0.0);
     unit = core.request(c1, 0.0);
@@ -439,7 +439,7 @@ TEST(SchedulerIntegrity, VoteStateSurvivesCheckpointRestore) {
   // single donor with the whole unit would defeat replication). c2's lease
   // died with its connection; its replica copy is requeued.
   auto dm2 = std::make_shared<ToySumDataManager>(500);
-  test::WalCore restored(dir, cfg, 500, {dm2}, 100.0);
+  test::WalPlane restored(dir, cfg, 500, {dm2}, 100.0);
   ASSERT_TRUE(restored.recovered());
   auto pid2 = restored.pid();
   auto c3 = restored.join("c3", 100.0);
@@ -467,7 +467,7 @@ TEST(SchedulerIntegrity, ReputationLedgerSurvivesCheckpointRestore) {
   std::string dir = test::fresh_wal_dir("integrity_reputation");
   double liar_score = 0;
   {
-    test::WalCore core(dir, cfg, 500, {dm});
+    test::WalPlane core(dir, cfg, 500, {dm});
     auto liar = core.join("liar", 0.0);
     auto h1 = core.join("h1", 0.0);
     auto h2 = core.join("h2", 0.0);
@@ -487,7 +487,7 @@ TEST(SchedulerIntegrity, ReputationLedgerSurvivesCheckpointRestore) {
   }
 
   // A liar must not launder its record by crashing the server.
-  test::WalCore restored(dir, cfg, 500,
+  test::WalPlane restored(dir, cfg, 500,
                          {std::make_shared<ToySumDataManager>(500)}, 100.0);
   ASSERT_TRUE(restored.recovered());
   const DonorReputation* rep = restored.core().reputation("liar");

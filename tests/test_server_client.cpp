@@ -233,6 +233,31 @@ TEST(ServerClient, DonorPoolContributesAllCpus) {
   server.stop();
 }
 
+TEST(ServerClient, DonorKeepsItsStatsWhenReconnectsRunOut) {
+  // The server goes away for good mid-run. The donor's reconnect attempts
+  // run out, and run() ends the work loop and returns what it did: the
+  // acknowledged units must not be lost in an exception.
+  auto cfg = quick_server_config();
+  cfg.policy_spec = "fixed:1000000";
+  Server server(cfg);
+  server.submit_problem(std::make_shared<ToySumDataManager>(10000000000ull));
+  server.start();
+  auto ccfg = client_config(server.port(), "stranded");
+  ccfg.max_connect_attempts = 2;
+  ccfg.backoff_max_s = 0.05;
+  ccfg.send_heartbeats = false;
+  auto run = std::async(std::launch::async, [ccfg] { return Client(ccfg).run(); });
+  // Two accepted results: the first one's ack has reached the donor.
+  for (int i = 0; i < 1000 && server.stats().results_accepted < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GE(server.stats().results_accepted, 2u) << "donor made no progress";
+  server.stop();
+  ClientRunStats stats;
+  ASSERT_NO_THROW(stats = run.get());
+  EXPECT_GE(stats.units_processed, 1u);
+}
+
 TEST(Server, StopIsIdempotentAndStartableOnce) {
   Server server(quick_server_config());
   server.start();

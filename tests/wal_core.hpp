@@ -1,12 +1,13 @@
 #pragma once
-// A SchedulerCore driven the way Server drives it when ServerConfig::wal_dir
-// is set, without the transport: every mutation is appended to a WAL
-// directory, and a result is fsynced before it counts as acknowledged.
-// Constructing one over a directory that already holds a log recovers it
-// first, exactly like Server::start(): restore the base checkpoint, replay
-// the tail, enter a new term and sweep the previous incarnation's client
-// rows (their connections died with it, so their leases are requeued).
-// Destroying the object is the crash; the next one is the restart.
+// The server's control plane over a WAL directory, without the transport:
+// the same dist::ControlPlane that Server drives when ServerConfig::wal_dir
+// is set, journaling to a real WalLog. Every mutation is logged, and an
+// accepted result is synced before submit() returns — the moment Server
+// sends its ack. Constructing one over a directory that already holds a
+// log recovers it first, exactly like Server::start(): restore the base
+// checkpoint, replay the tail, enter a new term and sweep the previous
+// incarnation's client rows. Destroying the object is the crash; the next
+// one is the restart.
 
 #include <filesystem>
 #include <memory>
@@ -16,9 +17,7 @@
 
 #include <gtest/gtest.h>
 
-#include "dist/scheduler_core.hpp"
-#include "dist/wal.hpp"
-#include "util/byte_buffer.hpp"
+#include "dist/control_plane.hpp"
 
 namespace hdcs::test {
 
@@ -29,105 +28,42 @@ inline std::string fresh_wal_dir(const std::string& name) {
   return dir;
 }
 
-class WalCore {
+class WalPlane : public dist::ControlPlane {
  public:
   /// `problems` are submitted in order (same inputs, same order as the
   /// previous incarnation, like a rerun of the same job). `now` stamps the
   /// new-term records when the directory held a log.
-  WalCore(const std::string& dir, dist::SchedulerConfig cfg, double unit_ops,
-          const std::vector<std::shared_ptr<dist::DataManager>>& problems,
-          double now = 0)
-      : core_(cfg, std::make_unique<dist::FixedGranularity>(unit_ops)),
-        wal_(dist::WalConfig{dir}) {
-    for (const auto& dm : problems) pids_.push_back(core_.submit_problem(dm));
-    dist::WalRecovery rec = wal_.take_recovery();
-    if (!rec.base_snapshot && rec.tail.empty()) return;
-    if (rec.base_snapshot) {
-      ByteReader r(*rec.base_snapshot);
-      core_.restore_exact(r);
-      r.expect_end();
-    }
-    for (const auto& record : rec.tail) dist::apply_wal_record(core_, record);
-    recovered_ = true;
-    const std::uint64_t next = core_.epoch() + 1;
-    core_.bump_epoch(next);
-    log(dist::WalOp::kEpoch, now, next);
-    for (const auto& c : core_.all_client_stats()) {
-      if (c.active) leave(c.id, now);
-    }
-    wal_.sync();
+  WalPlane(const std::string& dir, dist::SchedulerConfig cfg, double unit_ops,
+           const std::vector<std::shared_ptr<dist::DataManager>>& problems,
+           double now = 0, Options options = {})
+      : ControlPlane(cfg, std::make_unique<dist::FixedGranularity>(unit_ops),
+                     options) {
+    for (const auto& dm : problems) pids_.push_back(submit_problem(dm));
+    auto wal = std::make_unique<dist::WalLog>(dist::WalConfig{dir});
+    dist::WalRecovery rec = wal->take_recovery();
+    recovered_ = open_journal(std::move(wal), std::move(rec), now);
   }
 
   dist::ClientId join(const std::string& name, double now) {
-    dist::ClientId id = core_.client_joined(name, 1e6, now);
-    dist::WalRecord rec;
-    rec.op = dist::WalOp::kClientJoined;
-    rec.now = now;
-    rec.arg = id;
-    rec.name = name;
-    rec.benchmark = 1e6;
-    wal_.append(rec);
-    return id;
-  }
-
-  void leave(dist::ClientId id, double now) {
-    core_.client_left(id, now);
-    log(dist::WalOp::kClientLeft, now, id);
+    return hello(name, 1e6, now).value();
   }
 
   /// A lease with its blob bytes materialised, as a donor receives it.
   std::optional<dist::WorkUnit> request(dist::ClientId id, double now) {
-    auto unit = core_.request_work(id, now);
-    log(dist::WalOp::kRequestWork, now, id);
-    if (unit) core_.materialize_unit_blobs(*unit);
+    auto unit = request_work(id, now);
+    if (unit) core().materialize_unit_blobs(*unit);
     return unit;
   }
 
-  /// Accept a result; an accepted one is durable before this returns, the
-  /// moment Server sends its ack.
-  bool submit(dist::ClientId id, const dist::ResultUnit& result, double now) {
-    bool accepted = core_.submit_result(id, result, now);
-    dist::WalRecord rec;
-    rec.op = dist::WalOp::kSubmitResult;
-    rec.now = now;
-    rec.arg = id;
-    rec.result = result;
-    wal_.append(rec);
-    if (accepted) wal_.sync();
-    return accepted;
+  bool submit(dist::ClientId id, dist::ResultUnit result, double now) {
+    return submit_result(id, std::move(result), now);
   }
 
-  void tick(double now) {
-    core_.tick(now);
-    log(dist::WalOp::kTick, now, 0);
-  }
-
-  /// Fold the log into a fresh base checkpoint (what the housekeeping
-  /// thread does every wal_compact_every records).
-  void compact(double now) {
-    ByteWriter w;
-    core_.snapshot_exact(w);
-    wal_.compact(w.data(), now);
-  }
-
-  void sync() { wal_.sync(); }
-
-  [[nodiscard]] dist::SchedulerCore& core() { return core_; }
   [[nodiscard]] dist::ProblemId pid(std::size_t i = 0) const { return pids_.at(i); }
   /// True when construction replayed an existing log.
   [[nodiscard]] bool recovered() const { return recovered_; }
 
  private:
-  void log(dist::WalOp op, double now, std::uint64_t arg) {
-    dist::WalRecord rec;
-    rec.op = op;
-    rec.now = now;
-    rec.arg = arg;
-    wal_.append(rec);
-  }
-
-  dist::SchedulerCore core_;
-  dist::WalLog wal_;
   std::vector<dist::ProblemId> pids_;
   bool recovered_ = false;
 };
