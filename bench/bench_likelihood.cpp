@@ -56,12 +56,22 @@ Case make_case(int taxa, std::size_t sites, const std::string& model_spec,
   return c;
 }
 
+/// Move every edge to the other of two lengths, so the engine's next
+/// log_likelihood recomputes every internal node (a full pruning pass)
+/// instead of answering from its node cache.
+void flip_all_branches(Tree& tree, bool& flipped) {
+  flipped = !flipped;
+  for (int e : tree.edge_nodes()) tree.set_branch_length(e, flipped ? 0.11 : 0.09);
+}
+
 void BM_LogLikelihood(benchmark::State& state) {
   auto taxa = static_cast<int>(state.range(0));
   auto cats = static_cast<int>(state.range(1));
   auto c = make_case(taxa, 500, "HKY85", cats);
   LikelihoodEngine engine(c.patterns, c.model, c.rates);
+  bool flipped = false;
   for (auto _ : state) {
+    flip_all_branches(c.tree, flipped);
     benchmark::DoNotOptimize(engine.log_likelihood(c.tree));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -81,7 +91,9 @@ void BM_ModelComparison(benchmark::State& state) {
   const char* model = kModels[state.range(0)];
   auto c = make_case(15, 500, model, 1);
   LikelihoodEngine engine(c.patterns, c.model, c.rates);
+  bool flipped = false;
   for (auto _ : state) {
+    flip_all_branches(c.tree, flipped);
     benchmark::DoNotOptimize(engine.log_likelihood(c.tree));
   }
   state.SetLabel(model);
@@ -140,11 +152,14 @@ BENCHMARK(BM_NeighborJoining)->Arg(20)->Arg(50);
 // artifact (BENCH_LIKELIHOOD.json).
 // ---------------------------------------------------------------------------
 
-double measure_evals_per_sec(LikelihoodEngine& engine, const Tree& tree) {
+double measure_evals_per_sec(LikelihoodEngine& engine, Tree tree) {
+  bool flipped = false;
+  flip_all_branches(tree, flipped);
   benchmark::DoNotOptimize(engine.log_likelihood(tree));  // warm-up
   hdcs::Stopwatch sw;
   std::size_t evals = 0;
   do {
+    flip_all_branches(tree, flipped);
     benchmark::DoNotOptimize(engine.log_likelihood(tree));
     ++evals;
   } while (sw.seconds() < 0.25);
@@ -156,10 +171,10 @@ int run_smoke(const std::string& out_path) {
   constexpr std::size_t kSites = 1000;
   constexpr int kCats = 4;
   auto c = make_case(kTaxa, kSites, "HKY85", kCats);
-  LikelihoodEngine engine(c.patterns, c.model, c.rates);
 
   // Equivalence guard: every available tier must produce the bit-identical
   // log-likelihood (the kernels share summation order and never use FMA).
+  // Each tier gets a fresh engine, so each really runs its kernel.
   const SimdTier tiers[] = {SimdTier::kScalar, SimdTier::kSse2,
                             SimdTier::kAvx2, SimdTier::kAvx512};
   bool have_ref = false;
@@ -167,6 +182,7 @@ int run_smoke(const std::string& out_path) {
   for (SimdTier t : tiers) {
     if (!simd_tier_available(t)) continue;
     ScopedSimdTier pin(t);
+    LikelihoodEngine engine(c.patterns, c.model, c.rates);
     double ll = engine.log_likelihood(c.tree);
     if (!have_ref) {
       ref = ll;
@@ -178,6 +194,7 @@ int run_smoke(const std::string& out_path) {
     }
   }
 
+  LikelihoodEngine engine(c.patterns, c.model, c.rates);
   double scalar_rate, simd_rate;
   {
     ScopedSimdTier pin(SimdTier::kScalar);

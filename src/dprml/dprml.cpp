@@ -236,9 +236,13 @@ std::optional<dist::WorkUnit> DPRmlDataManager::next_unit(
       if (refine_issued_) return std::nullopt;
       refine_issued_ = true;
       outstanding_ = 1;
+      // A full refine ignores its focus. The smoothing after an applied NNI
+      // move comes once every taxon is in (next_taxon_ == order_.size()),
+      // so it names the last inserted taxon.
+      const auto focus =
+          std::min(static_cast<std::size_t>(next_taxon_), order_.size() - 1);
       ByteWriter w;
-      encode_refine_unit(w, current_tree_, refine_full_,
-                         order_[static_cast<std::size_t>(next_taxon_)]);
+      encode_refine_unit(w, current_tree_, refine_full_, order_[focus]);
       unit.payload = w.take();
       // Local smoothing touches ~5 branches; a full pass touches them all.
       double branches = refine_full_ ? 2.0 * (next_taxon_ + 1) : 5.0;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <iomanip>
+
 #include "dist/local_runner.hpp"
 #include "dist/scheduler_core.hpp"
 #include "phylo/distance.hpp"
@@ -120,6 +124,44 @@ TEST(DPRmlSerial, BeatsOrMatchesNeighborJoining) {
                                  phylo::RateModel::uniform());
   double nj_logl = engine.optimize_all_branches(nj, 2, 1e-4);
   EXPECT_GE(result.log_likelihood, nj_logl - 1.0);
+}
+
+// Golden answers: the serial run's newick and log-likelihood bits for two
+// small problems, recorded before the likelihood engine kept partials
+// between evaluations. Any change to the pruning code, the partials
+// kernels or the search that shifts a single bit of DPRml's answer fails
+// here.
+void expect_golden(const DPRmlResult& r, const char* newick, std::uint64_t logl_bits) {
+  EXPECT_EQ(r.newick, newick);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.log_likelihood), logl_bits)
+      << std::hex << std::bit_cast<std::uint64_t>(r.log_likelihood) << " ("
+      << std::setprecision(17) << r.log_likelihood << ")";
+}
+
+TEST(DPRmlGolden, Jc69SerialAnswerIsPinned) {
+  auto aln = make_dataset(59, 8, 240);
+  auto cfg = fast_config();
+  cfg.full_refine_every = 3;
+  expect_golden(build_tree_serial(aln, cfg),
+                "((t0:0.026190711672097383,t7:0.022378784900234445):0.030882099145704448,"
+                "((t1:0.017303879731912625,t5:0.061018731189064708):0.0083530784370334024,"
+                "t3:0.0085653876462138852):0.10802554851860852,(t2:0.13093298808772355,"
+                "(t4:0.042661500398087526,t6:0.0093007833560524045):0.066173952992295809)"
+                ":0.20267326913071215);",
+                0xc09052e72ce5e5ddull);  // -1044.7257572099254
+}
+
+TEST(DPRmlGolden, Hky85G4SerialAnswerIsPinned) {
+  auto aln = make_dataset(61, 7, 200);
+  auto cfg = fast_config();
+  cfg.model_spec = "HKY85+G4";
+  cfg.order_seed = 5;
+  expect_golden(build_tree_serial(aln, cfg),
+                "(t0:1.001980122896245e-08,(t6:0.035971875864383364,(t5:0.053006420102024068,"
+                "t2:1.001980122896245e-08):0.014881089474237703):1.001980122896245e-08,"
+                "(t1:0.13951567861192993,(t4:0.0097202831300919161,t3:0.047799573437887849)"
+                ":0.019226625171524167):0.0064530943096319376);",
+                0xc08239ff2eaf3cfaull);  // -583.24960076241337
 }
 
 TEST(DPRmlDataManager, RejectsTinyAlignments) {
@@ -300,12 +342,9 @@ TEST(DPRmlNni, ZeroRoundsMatchesPlainStepwise) {
   EXPECT_EQ(a.newick, b.newick);
 }
 
-TEST(DPRmlNni, DistributedMatchesSerialWithRearrangement) {
-  auto aln = make_dataset(103, 7, 250);
-  auto cfg = fast_config();
-  cfg.nni_rounds = 3;
-  auto serial = build_tree_serial(aln, cfg);
-
+/// Drive a DPRml problem through a SchedulerCore with one donor and return
+/// the data manager's result.
+DPRmlResult run_on_scheduler_core(const phylo::Alignment& aln, const DPRmlConfig& cfg) {
   register_algorithm();
   dist::SchedulerConfig scfg;
   scfg.lease_timeout = 1e6;
@@ -324,7 +363,7 @@ TEST(DPRmlNni, DistributedMatchesSerialWithRearrangement) {
     auto unit = core.request_work(cid, t);
     t += 1;
     if (!unit) {
-      ASSERT_LT(++spins, 100000) << "deadlock";
+      if (++spins >= 100000) throw Error("scheduler deadlocked");
       continue;
     }
     core.materialize_unit_blobs(*unit);
@@ -335,9 +374,36 @@ TEST(DPRmlNni, DistributedMatchesSerialWithRearrangement) {
     result.payload = algo.process(*unit);
     core.submit_result(cid, result, t);
   }
-  auto distributed = dm->result();
+  return dm->result();
+}
+
+TEST(DPRmlNni, DistributedMatchesSerialWithRearrangement) {
+  auto aln = make_dataset(103, 7, 250);
+  auto cfg = fast_config();
+  cfg.nni_rounds = 3;
+  auto serial = build_tree_serial(aln, cfg);
+  auto distributed = run_on_scheduler_core(aln, cfg);
   EXPECT_EQ(distributed.newick, serial.newick);
   EXPECT_DOUBLE_EQ(distributed.log_likelihood, serial.log_likelihood);
+}
+
+TEST(DPRmlNni, AppliedMoveIsSmoothedAndDistributedMatchesSerial) {
+  // On this dataset NNI rounds apply moves after the last insertion, so
+  // the data manager issues a full refine once every taxon is placed (the
+  // path that used to read past the end of the insertion order).
+  auto aln = make_dataset(2, 7, 200);
+  auto cfg = fast_config();
+  auto plain = build_tree_serial(aln, cfg);
+  cfg.nni_rounds = 2;
+  auto serial = build_tree_serial(aln, cfg);
+  // Every applied move adds one smoothing stage.
+  ASSERT_GT(serial.stage_log_likelihoods.size(), plain.stage_log_likelihoods.size());
+  EXPECT_GT(serial.log_likelihood, plain.log_likelihood);
+
+  auto distributed = run_on_scheduler_core(aln, cfg);
+  EXPECT_EQ(distributed.newick, serial.newick);
+  EXPECT_EQ(distributed.log_likelihood, serial.log_likelihood);
+  EXPECT_EQ(distributed.stage_log_likelihoods, serial.stage_log_likelihoods);
 }
 
 TEST(DPRmlCache, CacheHitsProduceIdenticalResults) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 
 #include "phylo/distance.hpp"
 #include "phylo/simulate.hpp"
@@ -186,6 +189,179 @@ TEST(Likelihood, EvalCountAccumulates) {
   engine.log_likelihood(tree);
   EXPECT_EQ(engine.eval_count(), 2u);
   EXPECT_GT(engine.cost_per_eval(2), 0.0);
+}
+
+// ---- incremental pruning ----
+
+/// A reused engine (whose node cache carries over between calls) must give
+/// the exact bits a fresh engine computes from scratch for the same tree.
+class FreshEngineReference {
+ public:
+  FreshEngineReference(const Alignment& aln, std::shared_ptr<const SubstModel> model,
+                       RateModel rates)
+      : patterns_(compress(aln)), model_(std::move(model)), rates_(std::move(rates)),
+        reused_(patterns_, model_, rates_) {}
+
+  /// Evaluate with both engines; returns the (shared) log-likelihood.
+  double check(const Tree& tree, const std::string& what) {
+    LikelihoodEngine fresh(patterns_, model_, rates_);
+    double expected = fresh.log_likelihood(tree);
+    double got = reused_.log_likelihood(tree);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(expected))
+        << what << ": reused " << got << " fresh " << expected;
+    ++checks_;
+    return got;
+  }
+
+  [[nodiscard]] int checks() const { return checks_; }
+
+ private:
+  PatternAlignment patterns_;
+  std::shared_ptr<const SubstModel> model_;
+  RateModel rates_;
+  LikelihoodEngine reused_;
+  int checks_ = 0;
+};
+
+TEST(Likelihood, IncrementalMatchesFreshEngine) {
+  Rng rng(19);
+  auto full = random_tree(rng, {10, 0.1, "t"});
+  auto model = std::make_shared<SubstModel>(SubstModel::hky85({0.3, 0.2, 0.2, 0.3}, 2.0));
+  auto rates = RateModel::gamma(0.5, 4);
+  auto aln = simulate_alignment(rng, full, *model, rates, {300});
+  FreshEngineReference ref(aln, model, rates);
+
+  // Brent-like branch-length edits, including a return to an earlier
+  // length (the parent's cache then holds the other length's partials).
+  auto tree = Tree::parse_newick(full.to_newick());
+  ref.check(tree, "cold");
+  ref.check(tree, "unchanged");
+  for (int edge : tree.edge_nodes()) {
+    const double original = tree.branch_length(edge);
+    for (double bl : {0.3819660112501051, 0.2, 0.05, original, 1e-8, original}) {
+      tree.set_branch_length(edge, bl);
+      ref.check(tree, "edge " + std::to_string(edge) + " bl " + std::to_string(bl));
+    }
+  }
+
+  // Leaf insertion on every edge of a 9-taxon tree, each candidate
+  // evaluated on its own copy (as DPRml's eval units do) and then with its
+  // pendant branch edited.
+  auto base = Tree::parse_newick(full.to_newick());
+  base.remove_leaf(*base.find_leaf("t9"));
+  ref.check(base, "after remove_leaf");
+  for (int edge : base.edge_nodes()) {
+    auto cand = Tree::parse_newick(base.to_newick());
+    int leaf = cand.insert_leaf_on_edge(edge, "t9", 0.1);
+    ref.check(cand, "insert on " + std::to_string(edge));
+    cand.set_branch_length(leaf, 0.25);
+    ref.check(cand, "pendant of insert on " + std::to_string(edge));
+    cand.remove_leaf(leaf);
+    ref.check(cand, "remove after insert on " + std::to_string(edge));
+  }
+
+  // NNI moves on one tree, each applied and then undone (an NNI swap is
+  // its own inverse), with a branch inside the moved subtree edited while
+  // it hangs under the other parent: when it moves back, its old parent's
+  // cached partials are stale through the moved child's version.
+  tree = Tree::parse_newick(full.to_newick());
+  ref.check(tree, "before nni");
+  for (int edge : tree.internal_edges()) {
+    for (int variant : {0, 1}) {
+      const int moved = tree.at(edge).children[static_cast<std::size_t>(variant)];
+      const std::string where = std::to_string(edge) + "/" + std::to_string(variant);
+      tree.nni(edge, variant);
+      ASSERT_NE(tree.parent(moved), edge);
+      ref.check(tree, "nni " + where);
+      const int inner = tree.is_leaf(moved) ? moved : tree.at(moved).children.front();
+      const double saved = tree.branch_length(inner);
+      tree.set_branch_length(inner, saved * 1.5 + 0.01);
+      ref.check(tree, "edit inside moved subtree " + where);
+      tree.nni(edge, variant);
+      ASSERT_EQ(tree.parent(moved), edge);
+      ref.check(tree, "moved back " + where);
+      tree.set_branch_length(inner, saved);
+      ref.check(tree, "restored " + where);
+    }
+  }
+  EXPECT_GT(ref.checks(), 100);
+}
+
+TEST(Likelihood, IncrementalMatchesFreshEngineWhileRescaling) {
+  // 300 taxa on long branches: per-site likelihoods sink far below the
+  // 1e-100 rescaling threshold. Without any rescaling a pattern's root
+  // partials would keep a cell >= 1e-100 (a smaller positive maximum is
+  // itself rescaled), so its site log-likelihood would be at least
+  // log(1e-100 * min pi * min category prob) = log(1e-100 / 16) here; a
+  // mean below that proves rescaling ran.
+  Rng rng(23);
+  auto tree = random_tree(rng, {300, 1.0, "t"});
+  auto model = jc();
+  auto rates = RateModel::gamma(0.5, 4);
+  constexpr std::size_t kSites = 120;
+  auto aln = simulate_alignment(rng, tree, *model, rates, {kSites});
+  FreshEngineReference ref(aln, model, rates);
+
+  double ll = ref.check(tree, "cold");
+  EXPECT_LT(ll / static_cast<double>(kSites), std::log(1e-100 / 16.0));
+  auto edges = tree.edge_nodes();
+  const auto last_edge = static_cast<std::int64_t>(edges.size()) - 1;
+  for (int k = 0; k < 12; ++k) {
+    int edge = edges[static_cast<std::size_t>(rng.uniform_int(0, last_edge))];
+    tree.set_branch_length(edge, 0.05 + rng.next_double());
+    ref.check(tree, "edit " + std::to_string(k));
+  }
+  auto internal = tree.internal_edges();
+  tree.nni(internal[internal.size() / 2], 1);
+  ref.check(tree, "nni");
+  int leaf = tree.insert_leaf_on_edge(edges[7], tree.at(tree.leaves().front()).name, 0.3);
+  // A duplicated taxon is fine for the likelihood: both leaves use its row.
+  ref.check(tree, "insert");
+  tree.remove_leaf(leaf);
+  ref.check(tree, "remove");
+
+  // Prune to 40 taxa: the renumbered node ids that held rescaling rows
+  // now head small subtrees that rescale nothing.
+  while (tree.leaf_count() > 40) tree.remove_leaf(tree.leaves().back());
+  ref.check(tree, "pruned");
+}
+
+TEST(Likelihood, OptimizeBranchRecomputesOnlyTheLeafsAncestors) {
+  Rng rng(29);
+  auto tree = random_tree(rng, {16, 0.1, "t"});
+  auto model = jc();
+  auto aln = simulate_alignment(rng, tree, *model, RateModel::uniform(), {200});
+  LikelihoodEngine engine(compress(aln), model, RateModel::uniform());
+
+  // A cold evaluation computes every node once; a repeat computes none.
+  engine.log_likelihood(tree);
+  EXPECT_EQ(engine.partials_computed(), static_cast<std::uint64_t>(tree.node_count()));
+  engine.log_likelihood(tree);
+  EXPECT_EQ(engine.partials_computed(), static_cast<std::uint64_t>(tree.node_count()));
+
+  // The deepest leaf has the longest path to the root.
+  int leaf = -1;
+  std::uint64_t ancestors = 0;
+  for (int l : tree.leaves()) {
+    std::uint64_t depth = 0;
+    for (int n = l; n != tree.root(); n = tree.parent(n)) ++depth;
+    if (depth > ancestors) {
+      ancestors = depth;
+      leaf = l;
+    }
+  }
+  ASSERT_GE(ancestors, 3u);
+  const auto evals_before = engine.eval_count();
+  const auto computed_before = engine.partials_computed();
+  engine.optimize_branch(tree, leaf, 1e-6);
+  const auto evals = engine.eval_count() - evals_before;
+  const auto computed = engine.partials_computed() - computed_before;
+  ASSERT_GT(evals, 3u);
+  // Every Brent step moves only the leaf's branch: its parent and each
+  // ancestor up to the root are recomputed, nothing else (not the leaf).
+  EXPECT_EQ(computed, evals * ancestors);
+  const auto internal = static_cast<std::uint64_t>(tree.node_count() - tree.leaf_count());
+  EXPECT_LT(computed, evals * internal);
 }
 
 TEST(Likelihood, ApiErrors) {

@@ -311,12 +311,15 @@ TEST(SimdLikelihood, LogLikelihoodBitIdenticalAcrossTiers) {
   auto model = std::make_shared<phylo::SubstModel>(phylo::SubstModel::jc69());
   auto rates = phylo::RateModel::gamma(0.5, 4);
   auto aln = phylo::simulate_alignment(rng, tree, *model, rates, {300});
-  phylo::LikelihoodEngine engine(phylo::compress(aln), model, rates);
+  const auto patterns = phylo::compress(aln);
 
   bool have_ref = false;
   double ref = 0;
   for (SimdTier tier : available_tiers()) {
     ScopedSimdTier pin(tier);
+    // A fresh engine per tier: a reused one would serve every tier after
+    // the first from its node cache without running that tier's kernel.
+    phylo::LikelihoodEngine engine(patterns, model, rates);
     double ll = engine.log_likelihood(tree);
     EXPECT_TRUE(std::isfinite(ll));
     if (!have_ref) {
